@@ -99,10 +99,6 @@ class ChainSpec:
     def tail_mass_bound(self) -> float:
         return PI1 / self.truncation_level
 
-    def up_probs(self, size: int) -> np.ndarray:
-        """p_1..p_size as an array."""
-        return _up_probs(size)
-
     def stationary_weights(self, size: int) -> np.ndarray:
         """pi_1..pi_size as an array."""
         j = np.arange(1, size + 1, dtype=np.float64)

@@ -245,6 +245,21 @@ class ChampernowneSource(SequenceSource):
         number = (1 << (length - 1)) + pos // length
         return (number >> (length - 1 - pos % length)) & 1
 
+    def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
+        blocks = [np.array([0, 1], dtype=np.uint8)]
+        size, length = 2, 2
+        while size < n:
+            # the L-bit integers still needed, one row of L bits each
+            count = min(1 << (length - 1), -(-(n - size) // length))
+            numbers = np.arange(1 << (length - 1), (1 << (length - 1)) + count)
+            shifts = np.arange(length - 1, -1, -1)
+            blocks.append(((numbers[:, None] >> shifts) & 1).astype(np.uint8).ravel())
+            size += count * length
+            length += 1
+        return np.concatenate(blocks)[:n]
+
 
 class CoinFlipSource(SequenceSource):
     """Deterministic pseudorandom bits from a 64-bit seeded PCG64 stream."""

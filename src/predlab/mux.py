@@ -6,30 +6,32 @@ stationary and ergodic, and it assigns the target prefix x_{1..n} probability
 at least pi1 / (n+1)^2 (the never-reset path from state 1), so its cumulative
 log2 loss on x is at most -log2(pi1) + 2 log2(n+1) = o(n).
 
-Numerics.  Word marginals are computed by a forward recursion over initial
-states 1..J.  The recursion is exact for every tracked trajectory and carries
-``dropped_mass``, a certified upper bound on the weight excluded by
-truncation (the stationary tail pi1/J, plus anything removed by optional
-pruning), giving the enclosure
+Numerics.  Word marginals come from a forward recursion over initial states
+1..J that keeps only the alive states (emissions matched so far), so a step
+costs O(alive): one dot product for the reset inflow and an index shift for
+the up-moves.  ``dropped_mass`` certifies the weight left out: the tail
+pi1/J, plus weights too small to multiply without underflow.  Each weight
+counts the roundings behind it and a sum of n terms in any order adds n - 1
+(Higham, Accuracy and Stability of Numerical Algorithms, chs. 3-4), so the
+tracked total T is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
-    lower = sum of tracked weights <= mu_x(y) <= lower + dropped_mass.
+    T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
-All recursions run in linear probability space with exact (fsum) summation;
-a tracked power-of-two rescaling guards against underflow.  The enclosure is
-an absolute one: dropped trajectories are never re-examined, so the interval
-width never shrinks below dropped_mass.  Consequently the *point* predictor
-exposed here does not midpoint the enclosures (for long pasts the tail bound
-can exceed the marginal itself, making midpoints uninformative); it serves
-the exact conditionals of the truncated measure - the chain started from the
-stationary law restricted to states 1..J and renormalized - whose cumulative
-loss telescopes to the certified marginal lower bound.  Interval widths are
-still computed and logged for every conditional query.
+with both ends rounded outward in log space and a tracked power-of-two
+rescale against underflow.  Dropped trajectories are never re-examined, so
+the width never shrinks below dropped_mass; for long pasts it can exceed the
+marginal itself, and the *point* predictor therefore does not midpoint the
+enclosures.  It serves the conditionals of the truncated measure (the chain
+started from the stationary law restricted to 1..J, renormalized), whose
+cumulative loss telescopes to T; interval widths are still logged.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +50,17 @@ from .core import (
 
 #: rescale the forward weights when their total drops below this
 _RESCALE_FLOOR = 1e-270
+#: weights below this join dropped_mass, so that every product of a weight
+#: and a transition probability (>= 2^-62 below state 2^61) stays normal and
+#: its rounding relative
+_WEIGHT_FLOOR = 2.0**-960
+_U = 2.0**-53  # unit roundoff
+#: roundings behind a stationary weight pi1/j^2 and behind a table entry p_j
+#: or 1 - p_j; the spare ones cover forming enclosure ends from a sum
+_INIT_ROUNDINGS, _TABLE_ROUNDINGS, _SPARE_ROUNDINGS = 6, 3, 8
+#: outward slack per bit of log2 magnitude, for log2, adding the scale,
+#: logaddexp2 and the exp2 that reads an endpoint back
+_LOG_SLACK = 8.0 * _U
 
 
 class ImpossiblePastError(ValueError):
@@ -62,40 +75,78 @@ def log_loss_bound(n: int) -> float:
     return -math.log2(PI1) + 2.0 * math.log2(n + 1)
 
 
+def _rel_err(fw) -> float:
+    """gamma_k bounding the relative error of a sum of ``fw.weights``, each
+    carrying ``fw.roundings`` roundings (plus the spare ones)."""
+    ku = (fw.roundings + len(fw.weights) + _SPARE_ROUNDINGS) * _U
+    return ku / (1.0 - ku)
+
+
+def _log2_out(x: float, up: bool, scale: float = 0.0) -> float:
+    """log2(x * 2**scale) rounded outward: up for an upper end, down for a
+    lower one.  A subnormal x has no relative rounding bound, so a lower end
+    drops to IMPOSSIBLE and an upper end is lifted to the normal range."""
+    if x <= 0.0 or (x < sys.float_info.min and not up):
+        return IMPOSSIBLE
+    v = math.log2(max(x, sys.float_info.min)) + scale
+    slack = _LOG_SLACK * (abs(v) + abs(scale) + 1.0)
+    return v + slack if up else v - slack
+
+
 @dataclass
 class ForwardState:
     """Forward weights after consuming t symbols.
 
-    weights[k] is the (scaled) joint weight of "state k+1 now, all consumed
-    symbols matched"; true weights are weights * 2**scale_log2.  dropped_mass
-    is an absolute certified bound on all excluded weight.  The frontier
-    (array length) grows by one state per consumed symbol past the first.
+    weights[k] is the (scaled) joint weight of "state states[k] now, all
+    consumed symbols matched", for the alive states only: ``states`` is
+    1-based and strictly ascending, and no weight is zero.  True weights are
+    weights * 2**scale_log2; each is within a factor 1 +- gamma_roundings of
+    its exact value.  ``total`` is the sum of the weights; dropped_mass is
+    an absolute certified bound on all excluded weight.
     """
 
     t: int
+    states: np.ndarray
     weights: np.ndarray
     dropped_mass: float
     scale_log2: float = 0.0
+    roundings: int = 0
+    total: float | None = None
 
-    def total(self) -> float:
-        return math.fsum(self.weights.tolist())
+    def __post_init__(self) -> None:
+        if self.total is None:
+            self.total = float(np.sum(self.weights))
 
-    def log2_lower(self) -> float:
-        w = self.total()
+    def log2_mass(self) -> float:
+        """log2 of the tracked mass (the point value, not an enclosure end)."""
+        w = self.total
         return math.log2(w) + self.scale_log2 if w > 0.0 else IMPOSSIBLE
 
-    def log2_upper(self) -> float:
-        lo = self.log2_lower()
-        if self.dropped_mass <= 0.0:
-            return lo
-        return min(0.0, log2_sum(lo, math.log2(self.dropped_mass)))
-
     def interval(self) -> LogInterval:
-        lo = self.log2_lower()
-        hi = self.log2_upper()
-        # carry the exact certified width unless the upper end was clamped at 1
-        width = self.dropped_mass if hi < 0.0 or self.dropped_mass == 0.0 else None
-        return LogInterval(lo, hi, width_prob=width)
+        r, scale, d = _rel_err(self), self.scale_log2, self.dropped_mass
+        lo = _log2_out(self.total * (1.0 - r), False, scale)
+        hi = _log2_out(self.total * (1.0 + r), True, scale)
+        if d > 0.0:
+            hi = log2_sum(hi, _log2_out(d, True))
+            hi += _LOG_SLACK * (abs(hi) + 1.0)
+        hi = min(0.0, hi)
+        # the width carries the truncation term only; rounding moves the
+        # ends out by a further relative gamma of the tracked mass each
+        width = d if hi < 0.0 or d == 0.0 else None
+        return LogInterval(min(lo, hi), hi, width_prob=width)
+
+
+class Transition(NamedTuple):
+    """``MuX.propagate``'s pre-emission weights at time t+1: states, weights
+    and roundings as in ForwardState, the mask of states emitting 1, and
+    s0, s1, the sums of the weights by emission."""
+
+    states: np.ndarray
+    weights: np.ndarray
+    ones: np.ndarray
+    s0: float
+    s1: float
+    roundings: int
 
 
 class MuX:
@@ -104,21 +155,14 @@ class MuX:
     Immutable once built; marginal and conditional queries are pure.
     """
 
-    def __init__(
-        self,
-        source: SequenceSource,
-        chain: ChainSpec | None = None,
-        prune_threshold: float = 0.0,
-    ) -> None:
+    def __init__(self, source: SequenceSource, chain: ChainSpec | None = None) -> None:
         self.source = source
         self.chain = chain or ChainSpec()
-        if prune_threshold < 0.0:
-            raise ValueError("prune_threshold must be >= 0")
-        self.prune_threshold = prune_threshold
         self._cap = 0
-        self._emis = np.empty(0, dtype=np.uint8)
-        self._p = np.empty(0, dtype=np.float64)
-        self._one_minus_p = np.empty(0, dtype=np.float64)
+        # _ones[i]: does state i+1 emit 1.  _up[j], _reset[j]: p_j and
+        # 1 - p_j = (2j+1)/(j+1)^2, indexed by state
+        self._ones = np.empty(0, dtype=bool)
+        self._up = self._reset = np.empty(0, dtype=np.float64)
 
     # -- cached per-state tables ------------------------------------------
 
@@ -129,14 +173,16 @@ class MuX:
             return
         new_cap = max(size, 2 * self._cap, self.chain.truncation_level + 64)
         try:
-            self._emis = self.source.prefix_array(new_cap)
+            emis = self.source.prefix_array(new_cap)
         except SourceExhaustedError:
             if new_cap == size:
                 raise
             new_cap = size  # finite source: take exactly what the query needs
-            self._emis = self.source.prefix_array(new_cap)
-        self._p = self.chain.up_probs(new_cap)
-        self._one_minus_p = 1.0 - self._p
+            emis = self.source.prefix_array(new_cap)
+        self._ones = emis.view(bool)
+        j = np.arange(new_cap + 1, dtype=np.float64)
+        self._up = (j * j) / ((j + 1.0) * (j + 1.0))
+        self._reset = (2.0 * j + 1.0) / ((j + 1.0) * (j + 1.0))
         self._cap = new_cap
 
     # -- forward recursion --------------------------------------------------
@@ -145,58 +191,72 @@ class MuX:
         """Stationary weights over initial states 1..J, tail mass dropped."""
         J = self.chain.truncation_level
         self._ensure_tables(J)
-        return ForwardState(
-            t=0,
-            weights=self.chain.stationary_weights(J),
-            dropped_mass=self.chain.tail_mass_bound,
-        )
+        return ForwardState(0, np.arange(1, J + 1, dtype=np.int64),
+                            self.chain.stationary_weights(J),
+                            self.chain.tail_mass_bound, roundings=_INIT_ROUNDINGS)
 
-    def propagate(self, state: ForwardState) -> tuple[np.ndarray, float, float]:
-        """One transition step without emission commitment.
-
-        Returns (v, S0, S1): v are the pre-emission weights at time t+1 and
-        S_a = sum of v over states emitting a.  At t=0 there is no transition
-        (the weights already are the time-1 state law).  S0 + S1 equals the
-        current total up to rounding, so conditionals formed from them are
-        normalized.
-        """
-        w = state.weights
-        self._ensure_tables(len(w) + 1)
+    def propagate(self, state: ForwardState) -> Transition:
+        """One transition step without emission commitment: the alive states
+        move up, weighted by p_j, and a new state 1 in front takes the reset
+        inflow (none at t=0, whose weights already are the time-1 law).
+        s0 + s1 equals the current total up to rounding."""
+        # tables cover the whole frontier J + t, whichever states are alive
+        self._ensure_tables(self.chain.truncation_level + max(state.t, 1))
+        s, w = state.states, state.weights
         if state.t == 0:
-            v = w
+            states, v, roundings = s, w, state.roundings
+            ones = self._ones[s - 1]
         else:
-            inflow = math.fsum((w * self._one_minus_p[: len(w)]).tolist())
-            v = np.empty(len(w) + 1, dtype=np.float64)
-            v[0] = inflow
-            v[1:] = w * self._p[: len(w)]
-        emis = self._emis[: len(v)]
-        s1 = math.fsum(v[emis == 1].tolist())
-        s0 = math.fsum(v[emis == 0].tolist())
-        return v, s0, s1
+            n = len(s)
+            states = np.empty(n + 1, dtype=np.int64)
+            states[0] = 1
+            np.add(s, 1, out=states[1:])
+            v = np.empty(n + 1, dtype=np.float64)
+            # the tables cover every state, so "clip" only skips the
+            # buffering that take(out=...) does in its default mode
+            self._reset.take(s, out=v[1:], mode="clip")
+            v[0] = np.dot(w, v[1:])
+            self._up.take(s, out=v[1:], mode="clip")
+            v[1:] *= w
+            ones = np.empty(n + 1, dtype=bool)
+            ones[0] = self._ones[0]
+            self._ones.take(s, out=ones[1:], mode="clip")  # j + 1 emits x_{j+1}
+            # the dot product's n terms each add a product and n - 1 sums
+            roundings = state.roundings + _TABLE_ROUNDINGS + n
+        s1 = float(np.add.reduce(v, where=ones))
+        s0 = float(np.add.reduce(v, where=~ones))
+        return Transition(states, v, ones, s0, s1, roundings)
 
     def advance(self, state: ForwardState, symbol: Symbol,
-                v: np.ndarray | None = None) -> ForwardState:
-        """Consume one symbol; pass ``v`` to reuse a ``propagate`` result."""
+                step: Transition | None = None) -> ForwardState:
+        """Consume one symbol; pass ``step`` to reuse a ``propagate`` result."""
         validate_symbol(symbol)
-        if v is None:
-            v = self.propagate(state)[0]
-        self._ensure_tables(len(v))
-        w = np.where(self._emis[: len(v)] == symbol, v, 0.0)
+        if step is None:
+            step = self.propagate(state)
+        keep = step.ones if symbol else ~step.ones
+        if keep[1:].all():  # every up-move survives: slice instead of gather
+            first = 0 if keep[0] else 1
+            states, w = step.states[first:], step.weights[first:]
+        else:
+            states, w = step.states[keep], step.weights[keep]
+        total = step.s1 if symbol else step.s0
         dropped = state.dropped_mass
         scale = state.scale_log2
-        if self.prune_threshold > 0.0:
-            true_w = w * 2.0**scale
-            small = (true_w > 0.0) & (true_w < self.prune_threshold)
-            if small.any():
-                dropped += math.fsum(true_w[small].tolist())
-                w = np.where(small, 0.0, w)
-        total = math.fsum(w.tolist())
         if 0.0 < total < _RESCALE_FLOOR:
             shift = -math.floor(math.log2(total))
             w = w * 2.0**shift
+            total *= 2.0**shift
             scale -= shift
-        return ForwardState(t=state.t + 1, weights=w, dropped_mass=dropped,
-                            scale_log2=scale)
+        if len(w) and w.min() < _WEIGHT_FLOOR:
+            small = w < _WEIGHT_FLOOR
+            bound = float(w[small].sum()) * (1.0 + 2.0 * _rel_err(step))
+            if bound > 0.0:
+                dropped = float(np.nextafter(dropped + math.ldexp(bound, int(scale)), np.inf))
+            states, w = states[~small], w[~small]
+            total = float(w.sum())
+        return ForwardState(t=state.t + 1, states=states, weights=w,
+                            dropped_mass=dropped, scale_log2=scale,
+                            roundings=step.roundings, total=total)
 
     def forward(self, y: Word) -> ForwardState:
         state = self.initial_state()
@@ -207,7 +267,7 @@ class MuX:
     # -- queries --------------------------------------------------------------
 
     def marginal(self, y: Word) -> LogInterval:
-        """Certified enclosure of mu_x(y); the width equals the dropped mass."""
+        """Certified enclosure of mu_x(y); ``width`` is the dropped mass."""
         if len(y) == 0:
             raise ValueError("marginal of the empty word is 1; query length >= 1")
         return self.forward(y).interval()
@@ -221,35 +281,32 @@ class MuX:
         marginal is zero the conditioning is impossible.
         """
         state = self.forward(tuple(past))
-        _, s0, s1 = self.propagate(state)
-        return self._conditional_intervals(state, s0, s1)
+        return self._conditional_intervals(state, self.propagate(state))
 
     def _conditional_intervals(
-        self, state: ForwardState, s0: float, s1: float
+        self, state: ForwardState, step: Transition
     ) -> tuple[LogInterval, LogInterval]:
-        den_lower = s0 + s1
+        den = step.s0 + step.s1
         d = state.dropped_mass
-        if den_lower <= 0.0 and d <= 0.0:
+        if den <= 0.0 and d <= 0.0:
             raise ImpossiblePastError(
                 "conditioning on impossible past (upper-bound marginal is 0)"
             )
-        scale = state.scale_log2
+        # interval division in the state's scaled units, where the dropped
+        # mass reads d * 2**-scale (inf once it dwarfs the tracked mass)
+        try:
+            d_scaled = math.ldexp(d, -int(state.scale_log2))
+        except OverflowError:
+            d_scaled = math.inf
+        r = _rel_err(step)
+        den_lower = den * (1.0 - r)
+        den_upper = den * (1.0 + r) + d_scaled
         out = []
-        log2_d = math.log2(d) if d > 0.0 else IMPOSSIBLE
-        log2_den_lower = (
-            math.log2(den_lower) + scale if den_lower > 0.0 else IMPOSSIBLE
-        )
-        log2_den_upper = log2_sum(log2_den_lower, log2_d)
-        for s_a in (s0, s1):
-            log2_num_lower = math.log2(s_a) + scale if s_a > 0.0 else IMPOSSIBLE
-            log2_num_upper = log2_sum(log2_num_lower, log2_d)
-            lo = log2_num_lower - log2_den_upper
-            hi = min(0.0, log2_num_upper - log2_den_lower)
-            # one-ulp outward nudge: the log-space ops are not directed-rounded
-            if math.isfinite(lo):
-                lo = float(np.nextafter(lo, -np.inf))
-            if hi < 0.0 and math.isfinite(hi):
-                hi = float(np.nextafter(hi, 0.0))
+        for s_a in (step.s0, step.s1):
+            lo = _log2_out(s_a * (1.0 - r) / den_upper, False)
+            hi = 0.0
+            if den_lower > 0.0:
+                hi = min(0.0, _log2_out((s_a * (1.0 + r) + d_scaled) / den_lower, True))
             out.append(LogInterval(min(lo, hi), hi))
         return out[0], out[1]
 
@@ -277,13 +334,13 @@ class MuX:
 class MuxPredictor(Predictor):
     """Next-symbol conditionals of the truncated tracking measure.
 
-    Serves the exact conditionals of the chain-with-emissions process whose
+    Serves the conditionals of the chain-with-emissions process whose
     initial state law is the stationary one restricted to 1..J and
     renormalized; cumulative log2 loss along any sequence telescopes to the
-    certified forward lower bound.  Off the truncated support (a past of
-    tracked mass zero) the predictor falls back to the uniform conditional,
-    which equals the renormalized midpoints of the then-vacuous enclosures;
-    this measure-zero convention keeps it total for adversarial use.
+    tracked forward mass.  Off the truncated support (a past of tracked
+    mass zero) the predictor falls back to the uniform conditional, which
+    equals the renormalized midpoints of the then-vacuous enclosures; this
+    measure-zero convention keeps it total for adversarial use.
 
     ``last_interval_width`` records the enclosure width of the most recent
     prediction for diagnostic logging.
@@ -292,8 +349,9 @@ class MuxPredictor(Predictor):
     def __init__(self, mux: MuX) -> None:
         self.mux = mux
         self._state = mux.initial_state()
+        self._initial_log2_mass = self._state.log2_mass()
         self._dead = False
-        self._cache: tuple[np.ndarray, float, float] | None = None
+        self._cache: Transition | None = None
         self.last_interval_width = 0.0
 
     def fresh(self) -> "MuxPredictor":
@@ -305,12 +363,12 @@ class MuxPredictor(Predictor):
 
     def log2_mass(self) -> float:
         """log2 of the tracked (unnormalized) mass of the observed past."""
-        return self._state.log2_lower()
+        return self._state.log2_mass()
 
     def log2_initial_mass(self) -> float:
-        return self.mux.initial_state().log2_lower()
+        return self._initial_log2_mass
 
-    def _propagated(self) -> tuple[np.ndarray, float, float]:
+    def _propagated(self) -> Transition:
         if self._cache is None:
             self._cache = self.mux.propagate(self._state)
         return self._cache
@@ -319,26 +377,26 @@ class MuxPredictor(Predictor):
         if self._dead:
             self.last_interval_width = 1.0
             return (0.5, 0.5)
-        _, s0, s1 = self._propagated()
-        den = s0 + s1
-        i0, _ = self.mux._conditional_intervals(self._state, s0, s1)
+        step = self._propagated()
+        den = step.s0 + step.s1
+        i0, _ = self.mux._conditional_intervals(self._state, step)
         self.last_interval_width = i0.width
         if den <= 0.0:
             return (0.5, 0.5)
-        p1 = s1 / den
+        p1 = step.s1 / den
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
         if self._dead:
             return
-        v, s0, s1 = self._propagated()
+        step = self._propagated()
         self._cache = None
-        if s0 + s1 <= 0.0:
+        if step.s0 + step.s1 <= 0.0:
             self._dead = True
             return
-        self._state = self.mux.advance(self._state, symbol, v=v)
-        if (s1 if symbol else s0) <= 0.0:
+        self._state = self.mux.advance(self._state, symbol, step)
+        if (step.s1 if symbol else step.s0) <= 0.0:
             self._dead = True
 
 

@@ -108,6 +108,24 @@ def test_champernowne_prefix():
     assert src.symbol_at(3) == 1
 
 
+def test_champernowne_prefix_array_matches_symbol_at():
+    src = ChampernowneSource()
+    assert src.prefix_array(0).shape == (0,)
+    assert [int(b) for b in src.prefix_array(301)] == [
+        src.symbol_at(t) for t in range(1, 302)]
+    # every block of L-bit integers ends at 2 + sum_{l=2..L} l 2^(l-1)
+    end = 2
+    for length in range(2, 13):
+        end += length << (length - 1)
+        for n in (end - 1, end, end + 1):
+            arr = src.prefix_array(n)
+            assert len(arr) == n
+            assert [int(b) for b in arr[-3:]] == [
+                src.symbol_at(t) for t in range(n - 2, n + 1)]
+    full = src.prefix_array(end + 5)
+    assert [int(b) for b in full] == [src.symbol_at(t) for t in range(1, end + 6)]
+
+
 def test_coin_flip_purity():
     a = CoinFlipSource(7)
     b = CoinFlipSource(7)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from predlab import (
     stationarity_window_check,
     word_frequency,
 )
+from predlab.cli import parse_source_spec
 from predlab.mux import ForwardState
 
 from conftest import corpus_sources
@@ -138,16 +140,13 @@ def test_monotone_information():
         )
 
 
-def test_pruning_stays_sound():
+def test_fine_enclosure_covers_coarse_brute_force():
     src = PeriodicSource("01")
-    exact = MuX(src, ChainSpec(500)).marginal(parse_bits("0101"))
-    pruned_mux = MuX(src, ChainSpec(500), prune_threshold=1e-5)
-    pruned = pruned_mux.marginal(parse_bits("0101"))
-    assert pruned.width > exact.width  # pruned mass joins the dropped bound
-    assert pruned.lower_prob <= exact.lower_prob
-    assert pruned.upper_prob >= exact.lower_prob  # still encloses the truth
-    bf = brute_force_marginal(MuX(src, ChainSpec(50)), parse_bits("0101"), 50)
-    assert pruned.upper_prob >= bf  # brute force at coarser truncation
+    y = parse_bits("0101")
+    iv = MuX(src, ChainSpec(500)).marginal(y)
+    bf = brute_force_marginal(MuX(src, ChainSpec(50)), y, 50)
+    # every path from states <= 50 is tracked at J = 500 as well
+    assert bf <= iv.lower_prob <= iv.upper_prob
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +278,128 @@ def test_emission_range_error_for_short_file(tmp_path):
 def test_forward_state_rescaling():
     mux = MuX(PeriodicSource("0"), ChainSpec(8))
     tiny = ForwardState(
-        t=1, weights=np.full(8, 1e-290), dropped_mass=0.0, scale_log2=0.0
+        t=1, states=np.arange(1, 9, dtype=np.int64), weights=np.full(8, 1e-290),
+        dropped_mass=0.0, scale_log2=0.0
     )
     advanced = mux.advance(tiny, 0)
     assert advanced.scale_log2 < 0.0
     assert advanced.weights.max() > 1e-200  # rescaled into safe range
     # true mass: 8e-290 spread once through the transition kernel
-    assert advanced.log2_lower() == pytest.approx(math.log2(8e-290), abs=1e-9)
+    assert advanced.log2_mass() == pytest.approx(math.log2(8e-290), abs=1e-9)
+
+
+def test_weights_too_small_to_multiply_join_dropped_mass():
+    mux = MuX(PeriodicSource("0"), ChainSpec(4))
+    state = ForwardState(t=1, states=np.arange(1, 4, dtype=np.int64),
+                         weights=np.array([0.5, 1e-290, 0.25]), dropped_mass=0.0)
+    advanced = mux.advance(state, 0)
+    # state 2's up-move, 1e-290 * 4/9, falls below the floor and is dropped
+    assert list(advanced.states) == [1, 2, 4]
+    assert advanced.dropped_mass >= 1e-290 * 4.0 / 9.0
+    exact = 0.5 * 0.75 + 1e-290 * 5.0 / 9.0 + 0.25 * 7.0 / 16.0 + 0.5 / 4.0 + 0.25 * 9.0 / 16.0
+    assert advanced.interval().contains(exact)
+
+
+# ---------------------------------------------------------------------------
+# the sparse forward state against an independent high-precision recursion
+# ---------------------------------------------------------------------------
+
+
+def mp_forward_sums(source, trunc, y):
+    """(s0, s1) before each symbol of y: the truncated forward recursion in
+    50-digit arithmetic with exact p_j = j^2/(j+1)^2 and pi_j = (6/pi^2)/j^2."""
+    x = source.prefix_array(trunc + len(y))
+    out = []
+    with mpmath.workdps(50):
+        w = {j: 6 / mpmath.pi**2 / j**2 for j in range(1, trunc + 1)}
+        for t, sym in enumerate(y):
+            if t:
+                inflow = mpmath.fsum(wj * (2 * j + 1) / mpmath.mpf((j + 1) ** 2)
+                                     for j, wj in w.items())
+                w = {j + 1: wj * j * j / mpmath.mpf((j + 1) ** 2)
+                     for j, wj in w.items()}
+                w[1] = inflow
+            out.append(tuple(mpmath.fsum(wj for j, wj in w.items() if x[j - 1] == a)
+                             for a in (0, 1)))
+            w = {j: wj for j, wj in w.items() if x[j - 1] == sym}
+    return out
+
+
+def assert_encloses(iv, lower, upper):
+    """lower <= iv's low end and iv's high end >= upper, in log2 and after
+    reading the ends back as probabilities, with no slack."""
+    with mpmath.workdps(50):
+        if lower > 0:
+            assert iv.lower_log2 <= mpmath.log(lower, 2)
+        assert iv.lower_prob <= lower
+        assert iv.upper_log2 >= mpmath.log(upper, 2)
+        assert iv.upper_prob >= upper
+
+
+@pytest.mark.parametrize("trunc", [64, 500])
+@pytest.mark.parametrize("spec", ["periodic:01", "coin:5", "champernowne"])
+def test_enclosures_contain_high_precision_recursion(spec, trunc):
+    rng = np.random.default_rng(trunc)
+    src = parse_source_spec(spec)
+    mux = MuX(src, ChainSpec(trunc))
+    # a path of the measure itself, a uniform word (its mass may die) and
+    # the target's own prefix
+    words = [tuple(int(b) for b in mux.sample_trajectory(200, seed=trunc)),
+             tuple(int(b) for b in rng.integers(0, 2, size=200)),
+             tuple(int(b) for b in src.prefix_array(200))]
+    if spec == "periodic:01":
+        words.append((0,) * 2500)  # mass about (3/4)^t: crosses the rescale
+    with mpmath.workdps(50):
+        tail = 1 - 6 / mpmath.pi**2 * mpmath.fsum(
+            mpmath.mpf(1) / j**2 for j in range(1, trunc + 1))
+    for y in words:
+        sums = mp_forward_sums(src, trunc, y)
+        cuts = {1, len(y)} | {int(m) for m in rng.integers(1, len(y), size=6)}
+        for m in sorted(cuts):
+            tracked = sums[m - 1][y[m - 1]]
+            assert_encloses(mux.marginal(y[:m]), tracked, tracked + tail)
+            if m == len(y):
+                continue
+            s0, s1 = sums[m]
+            if s0 + s1 == 0:
+                continue
+            for iv, s_a in zip(mux.conditional_next(y[:m]), (s0, s1)):
+                ratio = s_a / (s0 + s1)
+                assert_encloses(iv, ratio, ratio)
+    if spec == "periodic:01":
+        assert mux.forward((0,) * 2500).scale_log2 < 0.0
+
+
+def test_forward_states_are_sparse_and_sorted():
+    rng = np.random.default_rng(3)
+    for src in corpus_sources():
+        mux = MuX(src, ChainSpec(300))
+        for y in (tuple(int(b) for b in src.prefix_array(150)),
+                  tuple(int(b) for b in rng.integers(0, 2, size=150))):
+            state = mux.initial_state()
+            for s in y:
+                state = mux.advance(state, s)
+                assert state.states.dtype == np.int64
+                assert len(state.states) == len(state.weights)
+                assert (np.diff(state.states) > 0).all()
+                assert (state.weights > 0.0).all()
+                assert state.total == pytest.approx(float(state.weights.sum()),
+                                                    rel=1e-12)
+
+
+def test_fields_read_by_the_benchmark_trace():
+    # the traced benchmark run (perfbench/tracing.py) reads these names
+    mux = mux01(100)
+    assert mux.chain.truncation_level == 100
+    state = mux.advance(mux.initial_state(), 0)
+    assert state.t == 1
+    assert np.count_nonzero(state.weights) == 50
+    assert state.scale_log2 == 0.0
+    assert state.dropped_mass == mux.chain.tail_mass_bound
+    pred = mux.predictor()
+    pred.predict()
+    assert 0.0 < pred.last_interval_width <= 1.0
+    pred.observe(0)
+    odd = math.fsum(PI1 / (j * j) for j in range(1, 101, 2))
+    assert pred.log2_mass() == pytest.approx(math.log2(odd), rel=1e-12)
+    assert pred.log2_initial_mass() == pytest.approx(math.log2(odd / 0.75), abs=1e-2)
