@@ -51,11 +51,9 @@ from .core import (
     dirac_predictor,
     format_bits,
     log2_prob,
-    log2_product,
     log2_sum,
     parse_bits,
     prob,
-    sequence_prefix,
 )
 from .loss import (
     DiracMeasure,
@@ -63,7 +61,6 @@ from .loss import (
     check_pinsker,
     dirac_kl,
     expected_kl,
-    other_losses,
     pinsker_abs_bound,
     stationarity_window_check,
     window_distribution,
@@ -78,5 +75,25 @@ from .mux import (
     log_loss_bound,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the public names, one group per submodule (the submodules themselves
+#: stay out of ``from predlab import *``)
+__all__ = [
+    "AdversarialRun", "AdversarialSource", "adversarial_sequence",
+    "theorem1_experiment",
+    "FiniteOrderMixture", "KTPredictor", "UniformPredictor",
+    "finite_order_mixture", "kt_predictor", "uniform_predictor",
+    "PI1", "ChainSpec", "StatePath", "chain_info", "first_return_prob",
+    "mean_return_time", "return_prob_partial_sum", "sample_path",
+    "stationary_weight", "transition_prob",
+    "EMPTY_WORD", "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource",
+    "DiracPredictor", "FileSource", "LogInterval", "PeriodicSource",
+    "Predictor", "SequenceSource", "SourceExhaustedError", "Symbol",
+    "Word", "complement", "dirac_predictor", "format_bits", "log2_prob",
+    "log2_sum", "parse_bits", "prob",
+    "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
+    "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
+    "window_distribution", "word_frequency",
+    "ForwardState", "ImpossiblePastError", "MuX", "MuxPredictor",
+    "brute_force_marginal", "log_loss_bound",
+]
 __version__ = "0.1.0"

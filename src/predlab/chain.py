@@ -11,13 +11,18 @@ pi1 = 6/pi^2; the balance equations pi_{j+1} = pi_j * p_j hold exactly.
 Truncation bookkeeping: the stationary mass above a level J is bounded by
 pi1/J (integral bound on sum of 1/j^2), which is the certified tail mass
 carried by downstream enclosures.
+
+Sampling needs no truncation, because every law it draws from has a closed
+form: from state j the chain makes at least k more up-moves with
+probability j^2/(j+k)^2, so an excursion from state 1 has P(length >= m) =
+1/m^2.  Run lengths are drawn by inversion and the stationary start by
+rejection (Devroye, Non-Uniform Random Variate Generation, 1986, II.2-3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -69,18 +74,6 @@ def stationary_weight(j: int) -> float:
     return PI1 / (j * j)
 
 
-@lru_cache(maxsize=8)
-def _up_probs(size: int) -> np.ndarray:
-    j = np.arange(1, size + 1, dtype=np.float64)
-    return (j * j) / ((j + 1.0) * (j + 1.0))
-
-
-@lru_cache(maxsize=8)
-def _stationary_cdf(size: int) -> np.ndarray:
-    j = np.arange(1, size + 1, dtype=np.float64)
-    return np.cumsum(PI1 / (j * j))
-
-
 @dataclass(frozen=True)
 class ChainSpec:
     """Truncation policy for computations over the infinite state space.
@@ -117,61 +110,48 @@ class StatePath:
         return len(self.states)
 
 
-#: default truncation for stationary-start sampling (tail hit ~ 6e-7)
-SAMPLING_TRUNCATION = 10**6
+def sample_stationary_state(rng: np.random.Generator) -> int:
+    """Draw an initial state from the stationary law pi1/j^2, exactly, by
+    rejection: propose j = floor(1/W), W = 1 - U in (0, 1], whose law is
+    1/(j(j+1)), and accept with probability (j+1)/(2j)."""
+    while True:
+        j = math.floor(1.0 / (1.0 - rng.random()))
+        if 2 * j * rng.random() < j + 1:
+            return j
 
 
-def sample_stationary_state(
-    rng: np.random.Generator, trunc: int = SAMPLING_TRUNCATION
-) -> int:
-    """Draw an initial state from the stationary law by inverse CDF over
-    1..trunc with one lumped tail state; a tail hit (probability <= pi1/trunc)
-    resamples within a second-level truncation at 10*trunc."""
-    cdf = _stationary_cdf(trunc)
-    u = rng.random()
-    if u < cdf[-1]:
-        return int(np.searchsorted(cdf, u, side="right")) + 1
-    # Lumped tail: resample from the renormalized law on (trunc, 10*trunc],
-    # clamping at the second level (mass beyond it ~ 1e-13 of a 1e-7 event).
-    j = np.arange(trunc + 1, 10 * trunc + 1, dtype=np.float64)
-    tail_cdf = np.cumsum(PI1 / (j * j))
-    u2 = rng.random() * tail_cdf[-1]
-    idx = min(int(np.searchsorted(tail_cdf, u2, side="right")), len(j) - 1)
-    return trunc + 1 + idx
-
-
-def sample_path(
-    n: int,
-    seed: int,
-    start: int | None = None,
-    sampling_trunc: int = SAMPLING_TRUNCATION,
-) -> StatePath:
+def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
     """Length-n state path; ``start=None`` draws the initial state from the
     stationary law, ``start=j`` pins it.  Deterministic given the seed."""
     if n < 1:
         raise ValueError("path length must be >= 1")
     rng = np.random.default_rng(seed)
     if start is None:
-        j0 = sample_stationary_state(rng, sampling_trunc)
+        j0 = sample_stationary_state(rng)
         origin = "stationary"
     else:
         if start < 1:
             raise ValueError("fixed start state must be >= 1")
         j0 = start
         origin = f"fixed:{start}"
-    states = np.empty(n, dtype=np.int64)
-    states[0] = j0
-    if n > 1:
-        u = rng.random(n - 1)
-        cap = 4096
-        p = _up_probs(cap)
-        j = j0
-        for t in range(1, n):
-            while j > cap:
-                cap *= 2
-                p = _up_probs(cap)
-            j = j + 1 if u[t - 1] < p[j - 1] else 1
-            states[t] = j
+    # first run j0, j0+1, ...: k more up-moves with P(>= k) = j0^2/(j0+k)^2
+    k0 = math.floor(j0 * ((1.0 - rng.random()) ** -0.5 - 1.0))
+    first = min(k0 + 1, n)
+    # the rest: runs 1, 2, ..., L from state 1 with P(L >= m) = 1/m^2,
+    # about pi1 of them per step
+    lengths, covered = [], first
+    while covered < n:
+        draws = rng.random(int(1.1 * PI1 * (n - covered)) + 64)
+        lengths.append(np.floor((1.0 - draws) ** -0.5).astype(np.int64))
+        covered += int(lengths[-1].sum())
+    # each step's state is its offset from the start of its run, plus one
+    starts = first + np.cumsum(np.concatenate([[0], *lengths]))
+    starts = starts[starts < n]
+    run_start = np.zeros(n, dtype=np.int64)
+    run_start[starts] = starts
+    np.maximum.accumulate(run_start, out=run_start)
+    states = np.arange(1, n + 1, dtype=np.int64) - run_start
+    states[:first] += j0 - 1
     return StatePath(states=states, origin=origin, seed=seed)
 
 

@@ -192,8 +192,7 @@ def _cmd_loss(args) -> int:
 
 def _cmd_theorem1(args) -> int:
     cfg = ExperimentConfig(command="theorem1", predictor_spec=args.rho,
-                           horizon=args.n, trunc=args.trunc, seed=args.seed,
-                           out_dir=args.out)
+                           horizon=args.n, trunc=args.trunc, out_dir=args.out)
     rho = parse_predictor_spec(args.rho, trunc=args.trunc)
     run = adversary.theorem1_experiment(rho, args.n, trunc=args.trunc,
                                         predictor_spec=args.rho)
@@ -230,10 +229,8 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_ergodicity(args) -> int:
     cfg = ExperimentConfig(command="ergodicity", source_spec=args.target,
-                           horizon=args.n, seed=args.seed, trunc=args.trunc)
-    source = parse_source_spec(args.target)
-    mux = MuX(source, ChainSpec(args.trunc))
-    traj = mux.sample_trajectory(args.n, args.seed)
+                           horizon=args.n, seed=args.seed)
+    traj = MuX(parse_source_spec(args.target)).sample_trajectory(args.n, args.seed)
     freq_1 = float(np.count_nonzero(traj)) / len(traj)
     word_freqs = {}
     for k in (1, 2, 3):
@@ -302,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--rho", required=True)
     p_thm.add_argument("-n", type=int, required=True)
     p_thm.add_argument("--trunc", type=int, default=10_000)
-    p_thm.add_argument("--seed", type=int, default=0)
     p_thm.add_argument("--max-width", type=float, default=None)
     p_thm.add_argument("--out", required=True)
     p_thm.set_defaults(func=_cmd_theorem1)
@@ -311,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_erg.add_argument("--target", required=True)
     p_erg.add_argument("-n", type=int, required=True)
     p_erg.add_argument("--seed", type=int, required=True)
-    p_erg.add_argument("--trunc", type=int, default=10_000)
     p_erg.add_argument("--out", default=None)
     p_erg.set_defaults(func=_cmd_ergodicity)
     return parser

@@ -78,11 +78,6 @@ def log2_sum(a: float, b: float) -> float:
     return float(np.logaddexp2(a, b))
 
 
-def log2_product(a: float, b: float) -> float:
-    """log2(2^a * 2^b); IMPOSSIBLE saturates."""
-    return a + b
-
-
 @dataclass(frozen=True)
 class LogInterval:
     """Certified enclosure [lower, upper] of a probability, in log2 space.
@@ -102,10 +97,6 @@ class LogInterval:
             raise ValueError(
                 f"lower {self.lower_log2} exceeds upper {self.upper_log2}"
             )
-
-    @classmethod
-    def from_prob_bounds(cls, lower: float, upper: float) -> "LogInterval":
-        return cls(log2_prob(lower), log2_prob(min(upper, 1.0)))
 
     @property
     def lower_prob(self) -> float:
@@ -160,10 +151,6 @@ class Predictor(ABC):
             p.observe(validate_symbol(s))
         return p.predict()
 
-    def log2_conditional(self, past: Word) -> tuple[float, float]:
-        p0, p1 = self.conditional(past)
-        return log2_prob(p0), log2_prob(p1)
-
 
 # ---------------------------------------------------------------------------
 # Sequence sources
@@ -196,11 +183,6 @@ class SequenceSource(ABC):
         return np.fromiter(
             (self.symbol_at(t) for t in range(1, n + 1)), dtype=np.uint8, count=n
         )
-
-
-def sequence_prefix(source: SequenceSource, n: int) -> Word:
-    """x_{1..n} of the source; n = 0 gives the empty word."""
-    return source.prefix(n)
 
 
 class PeriodicSource(SequenceSource):
@@ -273,9 +255,12 @@ class CoinFlipSource(SequenceSource):
         self._cache = np.empty(0, dtype=np.uint8)
 
     def _ensure(self, n: int) -> None:
-        while len(self._cache) < n:
-            block = self._rng.integers(0, 2, size=self._BLOCK, dtype=np.uint8)
-            self._cache = np.concatenate([self._cache, block])
+        # the missing whole blocks in one draw: the same stream as drawing
+        # them one at a time, without one concatenation per block
+        blocks = -(-(n - len(self._cache)) // self._BLOCK)
+        if blocks > 0:
+            more = self._rng.integers(0, 2, size=blocks * self._BLOCK, dtype=np.uint8)
+            self._cache = np.concatenate([self._cache, more])
 
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Predictor, SequenceSource, Word, validate_symbol
+from .core import DiracPredictor, Predictor, SequenceSource, Word, validate_symbol
 
 _LN2 = math.log(2.0)
 
@@ -138,12 +138,6 @@ def dirac_kl(x: SequenceSource, rho: Predictor, n: int) -> LossTrace:
     return trace_from_realized_probs(realized_conditionals(x, rho, n))
 
 
-def other_losses(x: SequenceSource, rho: Predictor, n: int) -> LossTrace:
-    """Bounded per-step losses of rho on x: absolute loss 1 - rho(x_t | past)
-    and the two-point Brier squared loss 2 (1 - rho(x_t | past))^2."""
-    return trace_from_realized_probs(realized_conditionals(x, rho, n))
-
-
 def _kl_term(q: float, r: float) -> float:
     """q * log2(q / r), with 0 log 0 = 0 and q > 0, r = 0 -> inf."""
     if q <= 0.0:
@@ -163,7 +157,7 @@ def expected_kl(
     """Monte-Carlo estimate (value, stderr) of the expected cumulative KL
     divergence between mu- and rho-conditionals over horizon n.
 
-    ``mu`` must expose ``fresh_predictor()`` and ``sample_trajectory(n, seed)``
+    ``mu`` must expose ``predictor()`` and ``sample_trajectory(n, seed)``
     (true for both the tracking measure and Dirac sources).  Per-trajectory
     seeds are spawned deterministically from ``seed``.  For a Dirac mu every
     trajectory is the same, the estimate equals ``dirac_kl``'s cumulative
@@ -177,7 +171,7 @@ def expected_kl(
     totals = np.empty(num_samples, dtype=np.float64)
     for i in range(num_samples):
         y = mu.sample_trajectory(n, int(child_seeds[i]))
-        mu_pred = mu.fresh_predictor()
+        mu_pred = mu.predictor()
         rho_pred = rho.fresh()
         acc = 0.0
         for t in range(n):
@@ -203,9 +197,7 @@ class DiracMeasure:
     def __init__(self, source: SequenceSource) -> None:
         self.source = source
 
-    def fresh_predictor(self) -> Predictor:
-        from .core import DiracPredictor
-
+    def predictor(self) -> Predictor:
         return DiracPredictor(self.source)
 
     def sample_trajectory(self, n: int, seed: int) -> np.ndarray:

@@ -315,20 +315,23 @@ class MuX:
     def predictor(self) -> "MuxPredictor":
         return MuxPredictor(self)
 
-    def fresh_predictor(self) -> "MuxPredictor":
-        return MuxPredictor(self)
-
     def sample_trajectory(self, n: int, seed: int) -> np.ndarray:
         """Emit along a stationary-start chain path; deterministic per seed.
 
-        The source must serve indices up to the highest visited state.
+        The source must serve every visited state as an index; a finite one
+        raises its exhaustion error otherwise.
         """
         if n < 1:
             raise ValueError("trajectory length must be >= 1")
-        path = sample_path(n, seed, start=None)
-        max_state = int(path.states.max())
-        emis = self.source.prefix_array(max_state)
-        return emis[path.states - 1]
+        states = sample_path(n, seed, start=None).states
+        # only the first run can climb above n: read its states there one
+        # by one instead of materialising a prefix as long as the largest
+        low = states <= n
+        emis = self.source.prefix_array(int(states.max(initial=0, where=low)))
+        out = np.empty(n, dtype=np.uint8)
+        out[low] = emis[states[low] - 1]
+        out[~low] = [self.source.symbol_at(int(j)) for j in states[~low]]
+        return out
 
 
 class MuxPredictor(Predictor):

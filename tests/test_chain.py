@@ -188,12 +188,28 @@ def test_transition_frequencies_binomial():
         assert ups / m == pytest.approx(p, abs=margin)
 
 
-def test_tail_lumped_stationary_sampling():
-    # a tiny truncation forces the lumped-tail branch; states stay within the
-    # second-level truncation and state 1 keeps its stationary share
+def _assert_binomial(hits, p):
+    margin = 4.0 * math.sqrt(p * (1.0 - p) / len(hits))
+    assert float(np.mean(hits)) == pytest.approx(p, abs=margin)
+
+
+def test_stationary_state_exact_law():
+    # no truncation: every head and tail share of pi_j = pi1/j^2, with
+    # P(j > m) = 1 - pi1 sum_{j<=m} 1/j^2
     rng = np.random.default_rng(5)
-    draws = np.array([sample_stationary_state(rng, trunc=2) for _ in range(4000)])
-    assert draws.max() <= 20  # 10x second-level truncation
+    draws = np.array([sample_stationary_state(rng) for _ in range(200_000)])
     assert draws.min() >= 1
-    assert float(np.mean(draws > 2)) == pytest.approx(1.0 - PI1 - PI1 / 4, abs=0.05)
-    assert float(np.mean(draws == 1)) == pytest.approx(PI1, abs=0.04)
+    _assert_binomial(draws == 1, PI1)
+    _assert_binomial(draws == 2, PI1 / 4)
+    for m in (2, 10, 100, 1000):
+        tail = 1.0 - PI1 * math.fsum(1.0 / (j * j) for j in range(1, m + 1))
+        _assert_binomial(draws > m, tail)
+
+
+def test_first_run_exact_law():
+    # from state 7 the chain makes at least k more up-moves with probability
+    # prod_{j=7}^{6+k} p_j = 49/(7+k)^2
+    seeds = np.random.SeedSequence(5).generate_state(10_000)
+    paths = np.array([sample_path(11, int(s), start=7).states for s in seeds])
+    for k in (1, 3, 10):
+        _assert_binomial(paths[:, k] == 7 + k, 49.0 / (7 + k) ** 2)

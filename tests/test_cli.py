@@ -132,6 +132,25 @@ def test_ergodicity_frequencies(capsys):
     assert payload["window_check"]["max_abs_z"] <= 3.0
 
 
+def test_flags_without_effect_are_gone(tmp_path, capsys):
+    # the adversary is deterministic and sampling is exact: neither flag exists
+    out = tmp_path / "t"
+    assert main(["theorem1", "--rho", "kt", "-n", "5", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert main(["ergodicity", "--target", "periodic:01", "-n", "10",
+                 "--seed", "1", "--trunc", "100"]) == 2
+    code, _ = run_cli(capsys, "theorem1", "--rho", "kt", "-n", "5",
+                      "--trunc", "50", "--out", str(out))
+    assert code == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert config["seed"] is None and config["trunc"] == 50
+    code, text = run_cli(capsys, "ergodicity", "--target", "periodic:01",
+                         "-n", "1000", "--seed", "1")
+    assert code == 0
+    config = json.loads(text)["config"]
+    assert config["trunc"] is None and config["seed"] == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["chain", "info", "--bogus-flag"]) == 2
     assert main([]) == 2

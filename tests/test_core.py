@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,9 @@ from predlab import (
     dirac_predictor,
     format_bits,
     log2_prob,
-    log2_product,
     log2_sum,
     parse_bits,
     prob,
-    sequence_prefix,
 )
 
 words = st.lists(st.integers(0, 1), max_size=40).map(tuple)
@@ -28,6 +28,13 @@ words = st.lists(st.integers(0, 1), max_size=40).map(tuple)
 # ---------------------------------------------------------------------------
 # symbols, words
 # ---------------------------------------------------------------------------
+
+
+def test_star_import_exposes_no_modules():
+    namespace = {}
+    exec("from predlab import *", namespace)
+    assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert "MuX" in namespace and "sample_path" in namespace
 
 
 @given(st.integers(0, 1))
@@ -67,14 +74,13 @@ def test_log2_prob_roundtrip():
 
 
 def test_impossible_saturates():
-    # product with impossible is impossible; sum with impossible is identity
-    assert log2_product(IMPOSSIBLE, -3.0) == IMPOSSIBLE
+    # sum with impossible is the identity
     assert log2_sum(IMPOSSIBLE, -3.0) == -3.0
     assert log2_sum(-1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_log_interval_invariants():
-    iv = LogInterval.from_prob_bounds(0.25, 0.375)
+    iv = LogInterval(log2_prob(0.25), log2_prob(0.375))
     assert iv.lower_log2 <= iv.upper_log2
     assert iv.width == pytest.approx(0.125, rel=1e-12)
     assert iv.contains(0.3)
@@ -90,8 +96,8 @@ def test_log_interval_invariants():
 
 
 def test_periodic_prefix():
-    assert format_bits(sequence_prefix(PeriodicSource("01"), 4)) == "0101"
-    assert sequence_prefix(PeriodicSource("01"), 0) == ()
+    assert format_bits(PeriodicSource("01").prefix(4)) == "0101"
+    assert PeriodicSource("01").prefix(0) == ()
 
 
 def test_periodic_prefix_array_matches_symbol_at():
@@ -132,6 +138,21 @@ def test_coin_flip_purity():
     assert np.array_equal(a.prefix_array(10**5), b.prefix_array(10**5))
     # repeated queries agree with themselves
     assert a.symbol_at(123) == a.symbol_at(123)
+
+
+def test_coin_flip_draws_missing_blocks_as_one_stream():
+    # drawing k blocks at once must give the block-by-block stream
+    block = CoinFlipSource._BLOCK
+    for seed in (0, 1, 21, 12345):
+        rng = np.random.default_rng(seed)
+        ref = np.concatenate([rng.integers(0, 2, size=block, dtype=np.uint8)
+                              for _ in range(4)])
+        src = CoinFlipSource(seed)
+        for n in (1, block, block + 1, 3 * block + 5):
+            assert src.symbol_at(n + 2) == ref[n + 1]
+            assert np.array_equal(src.prefix_array(n), ref[:n])
+        assert np.array_equal(CoinFlipSource(seed).prefix_array(3 * block + 5),
+                              ref[:3 * block + 5])
 
 
 def test_coin_flip_regression_anchor():

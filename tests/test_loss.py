@@ -17,7 +17,6 @@ from predlab import (
     expected_kl,
     kt_predictor,
     finite_order_mixture,
-    other_losses,
     uniform_predictor,
     word_frequency,
 )
@@ -89,7 +88,7 @@ def test_chain_rule_against_forward_mass():
 
 
 def test_other_losses_uniform():
-    trace = other_losses(PeriodicSource("10"), uniform_predictor(), 40)
+    trace = dirac_kl(PeriodicSource("10"), uniform_predictor(), 40)
     assert (trace.abs_loss == 0.5).all()
     assert (trace.sq_loss == 0.5).all()
     assert trace.cesaro_abs[-1] == 0.5
@@ -97,7 +96,7 @@ def test_other_losses_uniform():
 
 def test_absolute_loss_shrinks_with_tracking():
     src = PeriodicSource("01")
-    trace = other_losses(src, MuX(src, ChainSpec(10_000)).predictor(), 1000)
+    trace = dirac_kl(src, MuX(src, ChainSpec(10_000)).predictor(), 1000)
     assert trace.cesaro_abs[999] < trace.cesaro_abs[99]
 
 

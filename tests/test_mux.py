@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -261,6 +262,37 @@ def test_stationarity_windows():
     traj = mux01(100).sample_trajectory(2 * 10**5, seed=6)
     for word, fa, fb, se in stationarity_window_check(traj, 3, 1, 50):
         assert abs(fa - fb) <= 3.0 * se + 1e-12, word
+
+
+def test_sample_trajectory_reads_large_states_through_symbol_at(monkeypatch, tmp_path):
+    # only the first run climbs above n; a start at 2^40 must be read state
+    # by state, never as a 2^40-symbol prefix
+    from predlab import chain, mux as mux_module
+
+    def start_at(j0):
+        monkeypatch.setattr(mux_module, "sample_path",
+                            lambda n, seed, start=None: chain.sample_path(n, seed, j0))
+        return chain.sample_path(n, seed, j0).states
+
+    n, seed = 300, 9
+    for j0 in (2**40, n - 5):
+        states = start_at(j0)
+        assert states.max() > n
+        tracemalloc.start()
+        try:
+            for spec in ("periodic:011", "champernowne"):
+                src = parse_source_spec(spec)
+                traj = MuX(src).sample_trajectory(n, seed)
+                assert [int(b) for b in traj] == [src.symbol_at(int(j)) for j in states]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24
+    path = tmp_path / "short.txt"
+    path.write_text("0110\n", encoding="ascii")
+    start_at(2**40)
+    with pytest.raises(SourceExhaustedError, match=str(2**40)):
+        MuX(FileSource(path)).sample_trajectory(n, seed)
 
 
 # ---------------------------------------------------------------------------
