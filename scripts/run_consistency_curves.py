@@ -6,14 +6,13 @@ ceiling per step) plus a summary table on stdout.
 """
 
 import argparse
-import csv
-import math
 from pathlib import Path
 
 import numpy as np
 
-from predlab import PI1, ChainSpec, MuX, dirac_kl
+from predlab import ChainSpec, MuX, dirac_kl, log_loss_bound
 from predlab.cli import parse_source_spec
+from predlab.loss import write_tidy_csv
 
 CORPUS = ["periodic:01", "periodic:0", "champernowne",
           "coin:1", "coin:2", "coin:3", "coin:4", "coin:5"]
@@ -22,20 +21,16 @@ CORPUS = ["periodic:01", "periodic:0", "champernowne",
 def run(out_root: Path, n: int, trunc: int) -> None:
     out_root.mkdir(parents=True, exist_ok=True)
     t = np.arange(1, n + 1, dtype=np.float64)
-    bound = -math.log2(PI1) + 2.0 * np.log2(t + 1.0)
+    bound = log_loss_bound(t)
     print(f"{'source':<14} {'cum bits':>10} {'ceiling':>10} {'cesaro':>8}")
     for spec in CORPUS:
         src = parse_source_spec(spec)
         trace = dirac_kl(src, MuX(src, ChainSpec(trunc)).predictor(), n)
-        path = out_root / f"{spec.replace(':', '_')}.csv"
-        with path.open("w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["t", "metric", "value"])
-            for name, values in [("cum_kl_bits", trace.cum_kl_bits),
-                                 ("cesaro_kl", trace.cesaro_kl),
-                                 ("bound_bits", bound)]:
-                for step, value in enumerate(values, start=1):
-                    writer.writerow([step, name, repr(float(value))])
+        write_tidy_csv(out_root / f"{spec.replace(':', '_')}.csv", {
+            "cum_kl_bits": trace.cum_kl_bits,
+            "cesaro_kl": trace.cesaro_kl,
+            "bound_bits": bound,
+        })
         print(f"{spec:<14} {trace.cum_kl_bits[-1]:>10.3f} {bound[-1]:>10.3f} "
               f"{trace.cesaro_kl[-1]:>8.4f}")
 

@@ -34,7 +34,6 @@ from .chain import (
     transition_prob,
 )
 from .core import (
-    EMPTY_WORD,
     IMPOSSIBLE,
     ChampernowneSource,
     CoinFlipSource,
@@ -48,7 +47,6 @@ from .core import (
     Symbol,
     Word,
     complement,
-    dirac_predictor,
     format_bits,
     log2_prob,
     log2_sum,
@@ -85,11 +83,11 @@ __all__ = [
     "PI1", "ChainSpec", "StatePath", "chain_info", "first_return_prob",
     "mean_return_time", "return_prob_partial_sum", "sample_path",
     "stationary_weight", "transition_prob",
-    "EMPTY_WORD", "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource",
-    "DiracPredictor", "FileSource", "LogInterval", "PeriodicSource",
-    "Predictor", "SequenceSource", "SourceExhaustedError", "Symbol",
-    "Word", "complement", "dirac_predictor", "format_bits", "log2_prob",
-    "log2_sum", "parse_bits", "prob",
+    "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource", "DiracPredictor",
+    "FileSource", "LogInterval", "PeriodicSource", "Predictor",
+    "SequenceSource", "SourceExhaustedError", "Symbol", "Word",
+    "complement", "format_bits", "log2_prob", "log2_sum", "parse_bits",
+    "prob",
     "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
     "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
     "window_distribution", "word_frequency",

@@ -11,15 +11,14 @@ queries need (state-j emissions read the sequence at index j).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import PI1, ChainSpec
+from .chain import ChainSpec
 from .core import Predictor, SequenceSource, Symbol
 from .loss import LossTrace, trace_from_realized_probs
-from .mux import MuX
+from .mux import MuX, log_loss_bound
 
 
 class AdversarialSource(SequenceSource):
@@ -77,7 +76,6 @@ class AdversarialRun:
     rho_trace: LossTrace          # target predictor scored on x
     mux_trace: LossTrace          # tracking measure of x scored on x
     bound_per_step: np.ndarray    # log_loss_bound(t) / t for t = 1..n
-    rho_conditionals: np.ndarray  # the queried rho(x_t | past) values
     mux_widths: np.ndarray        # conditional enclosure widths, logged
 
     @property
@@ -118,13 +116,12 @@ def theorem1_experiment(
     mux_trace = trace_from_realized_probs(mux_probs)
 
     t = np.arange(1, n + 1, dtype=np.float64)
-    bound = (-math.log2(PI1) + 2.0 * np.log2(t + 1.0)) / t
+    bound = log_loss_bound(t) / t
     return AdversarialRun(
         predictor_spec=predictor_spec,
         sequence=x,
         rho_trace=rho_trace,
         mux_trace=mux_trace,
         bound_per_step=bound,
-        rho_conditionals=rho_probs,
         mux_widths=widths,
     )

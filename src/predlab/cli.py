@@ -13,7 +13,7 @@ Spec grammars (kept out of the library API):
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import sys
@@ -114,17 +114,6 @@ def _dump_json(payload: dict, path: Path | None) -> str:
     return text
 
 
-def _write_tidy_csv(path: Path, series: dict[str, np.ndarray]) -> None:
-    """Plot-ready long format: one row per (t, metric, value)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "metric", "value"])
-        for metric, values in series.items():
-            for t, v in enumerate(values, start=1):
-                writer.writerow([t, metric, repr(float(v))])
-
-
 def _cmd_chain_info(args) -> int:
     cfg = ExperimentConfig(command="chain info", horizon=args.max_n,
                            trunc=args.trunc)
@@ -207,7 +196,7 @@ def _cmd_theorem1(args) -> int:
                                    encoding="utf-8")
     run.rho_trace.to_csv(out_dir / "rho_trace.csv")
     run.mux_trace.to_csv(out_dir / "mux_trace.csv")
-    _write_tidy_csv(out_dir / "tidy.csv", {
+    loss.write_tidy_csv(out_dir / "tidy.csv", {
         "rho_cesaro_kl": run.rho_trace.cesaro_kl,
         "mux_cesaro_kl": run.mux_trace.cesaro_kl,
         "bound_per_step": run.bound_per_step,
@@ -235,9 +224,9 @@ def _cmd_ergodicity(args) -> int:
     word_freqs = {}
     for k in (1, 2, 3):
         if len(traj) >= k:
-            for word in range(1 << k):
-                bits = tuple((word >> (k - 1 - i)) & 1 for i in range(k))
-                word_freqs[format_bits(bits)] = loss.word_frequency(bits, traj)
+            dist = loss.window_distribution(traj, k, 1, 1)
+            for word in itertools.product((0, 1), repeat=k):
+                word_freqs[format_bits(word)] = dist.get(word, 0.0)
     windows = loss.stationarity_window_check(traj, k=3, offset_a=1, offset_b=50)
     max_z = 0.0
     for _, fa, fb, se in windows:

@@ -24,8 +24,6 @@ import numpy as np
 Symbol = int
 Word = tuple[int, ...]
 
-EMPTY_WORD: Word = ()
-
 #: log2 of probability zero; arithmetic with it saturates.
 IMPOSSIBLE = float("-inf")
 
@@ -316,9 +314,9 @@ class DiracPredictor(Predictor):
     convention; it never affects losses evaluated along x itself.
     """
 
-    def __init__(self, source: SequenceSource, _t: int = 1) -> None:
+    def __init__(self, source: SequenceSource) -> None:
         self.source = source
-        self._t = _t
+        self._t = 1
 
     def fresh(self) -> "DiracPredictor":
         return DiracPredictor(self.source)
@@ -330,8 +328,3 @@ class DiracPredictor(Predictor):
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
         self._t += 1
-
-
-def dirac_predictor(source: SequenceSource) -> DiracPredictor:
-    """The deterministic-sequence predictor for ``source``."""
-    return DiracPredictor(source)

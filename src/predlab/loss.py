@@ -1,6 +1,8 @@
 """Prediction-quality functionals: cumulative log2 (KL) loss along a fixed
 sequence, Monte-Carlo expected KL between measures, bounded absolute and
-squared per-step losses with Cesaro averages, and empirical word frequencies.
+squared per-step losses with Cesaro averages, empirical word frequencies
+(all window statistics come from one window count, k <= MAX_WINDOW), and the
+CSV artifacts (all written by one CSV writer).
 
 A per-step loss of +inf (the predictor assigned probability zero to the
 realized symbol) is recorded as the float inf sentinel; cumulative sums and
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -75,30 +77,33 @@ class LossTrace:
         start = max(len(self) // 2, 1)
         return float(np.min(cesaro[start - 1:]))
 
-    def rows(self):
-        cum = self.cum_kl_bits
-        ces_kl, ces_abs, ces_sq = self.cesaro_kl, self.cesaro_abs, self.cesaro_sq
-        for i in range(len(self)):
-            yield {
-                "step": i + 1,
-                "kl_bits": self.kl_bits[i],
-                "cum_kl_bits": cum[i],
-                "cesaro_kl": ces_kl[i],
-                "abs": self.abs_loss[i],
-                "cesaro_abs": ces_abs[i],
-                "sq": self.sq_loss[i],
-                "cesaro_sq": ces_sq[i],
-            }
-
     def to_csv(self, path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="", encoding="utf-8") as f:
-            writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow({k: (v if k == "step" else repr(float(v)))
-                                 for k, v in row.items()})
+        _write_csv(path, CSV_COLUMNS, [
+            self.steps, self.kl_bits, self.cum_kl_bits, self.cesaro_kl,
+            self.abs_loss, self.cesaro_abs, self.sq_loss, self.cesaro_sq,
+        ])
+
+
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns under a header, one row per index.  Floats
+    print as ``str(float)``, which equals ``repr(float)``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(zip(*(c.tolist() for c in columns), strict=True))
+
+
+def write_tidy_csv(path, series: dict[str, np.ndarray]) -> None:
+    """Plot-ready long format: one row per (t, metric, value), t = 1..len
+    within each metric."""
+    lengths = [len(v) for v in series.values()]
+    _write_csv(path, ["t", "metric", "value"], [
+        np.concatenate([np.arange(1, n + 1) for n in lengths]),
+        np.repeat(list(series), lengths),
+        np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()]),
+    ])
 
 
 def trace_from_realized_probs(probs) -> LossTrace:
@@ -221,21 +226,43 @@ def word_frequency(w: Word, seq) -> float:
     return float(np.count_nonzero(hits)) / windows
 
 
+#: largest k for the counted window statistics: they hold 2^k bins
+MAX_WINDOW = 16
+
+
+def _window_counts(seq, k: int, start: int = 1, stride: int = 1) -> np.ndarray:
+    """Counts of the length-k windows of seq starting at positions start,
+    start+stride, ... (1-indexed), indexed by the window read as a k-bit
+    code, first symbol most significant."""
+    if not 1 <= k <= MAX_WINDOW:
+        raise ValueError(f"window length must be in 1..{MAX_WINDOW}")
+    if start < 1 or stride < 1:
+        raise ValueError("start and stride must be >= 1")
+    seq = np.asarray(seq, dtype=np.uint8)
+    end = max(len(seq) - k + 1, 0)  # one past the last window start
+    codes = seq[start - 1 : end : stride].astype(np.intp)
+    for i in range(1, k):
+        codes <<= 1
+        codes |= seq[start - 1 + i : end + i : stride]
+    return np.bincount(codes, minlength=1 << k)
+
+
+def _code_words(codes: np.ndarray, k: int) -> list[Word]:
+    """The k-bit codes as words, first symbol most significant."""
+    bits = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return list(map(tuple, bits.tolist()))
+
+
 def window_distribution(seq, k: int, start: int, stride: int) -> dict[Word, float]:
     """Empirical distribution of the length-k windows starting at positions
-    start, start+stride, ... (1-indexed) of seq."""
-    seq = np.asarray(seq, dtype=np.uint8)
-    if k < 1 or start < 1 or stride < 1:
-        raise ValueError("k, start and stride must be >= 1")
-    counts: dict[Word, int] = {}
-    total = 0
-    for pos in range(start - 1, len(seq) - k + 1, stride):
-        w = tuple(int(s) for s in seq[pos : pos + k])
-        counts[w] = counts.get(w, 0) + 1
-        total += 1
+    start, start+stride, ... (1-indexed) of seq; words that never occur are
+    absent."""
+    counts = _window_counts(seq, k, start, stride)
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("sequence too short for any window")
-    return {w: c / total for w, c in counts.items()}
+    present = np.flatnonzero(counts)
+    return dict(zip(_code_words(present, k), (counts[present] / total).tolist()))
 
 
 def stationarity_window_check(
@@ -244,40 +271,32 @@ def stationarity_window_check(
     """Compare length-k window distributions taken at two within-stride
     offsets of one trajectory.
 
-    Returns (word, freq_a, freq_b, stderr) per word, where stderr is the
-    pooled binomial standard error of the difference; under stationarity the
-    differences are within a few stderr.
+    Returns (word, freq_a, freq_b, stderr) per word seen at either offset, in
+    word order, where stderr is the pooled binomial standard error of the
+    difference; under stationarity the differences are within a few stderr.
     """
-    seq = np.asarray(seq, dtype=np.uint8)
-    dist_a = window_distribution(seq, k, offset_a, stride)
-    dist_b = window_distribution(seq, k, offset_b, stride)
-    n_a = len(range(offset_a - 1, len(seq) - k + 1, stride))
-    n_b = len(range(offset_b - 1, len(seq) - k + 1, stride))
-    rows = []
-    for w in sorted(set(dist_a) | set(dist_b)):
-        fa = dist_a.get(w, 0.0)
-        fb = dist_b.get(w, 0.0)
-        pooled = (fa * n_a + fb * n_b) / (n_a + n_b)
-        se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) * (1.0 / n_a + 1.0 / n_b))
-        rows.append((w, fa, fb, se))
-    return rows
+    counts_a = _window_counts(seq, k, offset_a, stride)
+    counts_b = _window_counts(seq, k, offset_b, stride)
+    n_a, n_b = int(counts_a.sum()), int(counts_b.sum())
+    if n_a == 0 or n_b == 0:
+        raise ValueError("sequence too short for any window")
+    fa, fb = counts_a / n_a, counts_b / n_b
+    pooled = (fa * n_a + fb * n_b) / (n_a + n_b)
+    se = np.sqrt(np.maximum(pooled * (1.0 - pooled), 0.0) * (1.0 / n_a + 1.0 / n_b))
+    present = np.flatnonzero(counts_a + counts_b)
+    return list(zip(_code_words(present, k), fa[present].tolist(),
+                    fb[present].tolist(), se[present].tolist()))
 
 
-def pinsker_abs_bound(cesaro_kl_bits: float) -> float:
+def pinsker_abs_bound(cesaro_kl_bits):
     """Upper bound sqrt(eps * ln 2 / 2) on the Cesaro absolute loss implied
     by a Cesaro KL of eps bits (total-variation form of Pinsker's inequality
-    plus Jensen)."""
-    if math.isinf(cesaro_kl_bits):
-        return math.inf
-    return math.sqrt(max(cesaro_kl_bits, 0.0) * _LN2 / 2.0)
+    plus Jensen), elementwise; an infinite KL gives an infinite bound."""
+    return np.sqrt(np.maximum(cesaro_kl_bits, 0.0) * _LN2 / 2.0)
 
 
 def check_pinsker(trace: LossTrace, slack: float = 1e-6) -> bool:
     """Whether every horizon of the trace satisfies the Pinsker corollary
     cesaro_abs <= sqrt(cesaro_kl * ln2 / 2) + slack."""
-    ces_kl = trace.cesaro_kl
-    ces_abs = trace.cesaro_abs
-    for t in range(len(trace)):
-        if ces_abs[t] > pinsker_abs_bound(float(ces_kl[t])) + slack:
-            return False
-    return True
+    bound = pinsker_abs_bound(trace.cesaro_kl) + slack
+    return not bool(np.any(trace.cesaro_abs > bound))

@@ -67,12 +67,13 @@ class ImpossiblePastError(ValueError):
     """Conditioning on a past whose marginal upper bound is zero."""
 
 
-def log_loss_bound(n: int) -> float:
+def log_loss_bound(n):
     """Certified ceiling on the cumulative log2 loss of mu_x on x_{1..n}:
-    -log2(pi1) + 2 log2(n+1)."""
-    if n < 1:
+    -log2(pi1) + 2 log2(n+1), elementwise for an array of horizons."""
+    n = np.asarray(n, dtype=np.float64)
+    if np.any(n < 1):
         raise ValueError("horizon must be >= 1")
-    return -math.log2(PI1) + 2.0 * math.log2(n + 1)
+    return -math.log2(PI1) + 2.0 * np.log2(n + 1.0)
 
 
 def _rel_err(fw) -> float:
@@ -200,9 +201,9 @@ class MuX:
         move up, weighted by p_j, and a new state 1 in front takes the reset
         inflow (none at t=0, whose weights already are the time-1 law).
         s0 + s1 equals the current total up to rounding."""
-        # tables cover the whole frontier J + t, whichever states are alive
-        self._ensure_tables(self.chain.truncation_level + max(state.t, 1))
         s, w = state.states, state.weights
+        # state j reads x_{j+1} after its up-move; the new state 1 reads x_1
+        self._ensure_tables(int(s[-1]) + 1 if len(s) else 1)
         if state.t == 0:
             states, v, roundings = s, w, state.roundings
             ones = self._ones[s - 1]

@@ -9,12 +9,12 @@ from predlab import (
     IMPOSSIBLE,
     ChampernowneSource,
     CoinFlipSource,
+    DiracPredictor,
     FileSource,
     LogInterval,
     PeriodicSource,
     SourceExhaustedError,
     complement,
-    dirac_predictor,
     format_bits,
     log2_prob,
     log2_sum,
@@ -191,31 +191,31 @@ def test_source_symbol_at_is_pure(t):
 
 
 def test_dirac_on_alternating():
-    pred = dirac_predictor(PeriodicSource("01"))
+    pred = DiracPredictor(PeriodicSource("01"))
     assert pred.conditional((0,)) == (0.0, 1.0)
     assert pred.conditional(()) == (1.0, 0.0)
 
 
 def test_dirac_on_zeros_empty_past():
-    pred = dirac_predictor(PeriodicSource("0"))
+    pred = DiracPredictor(PeriodicSource("0"))
     assert pred.conditional(()) == (1.0, 0.0)
 
 
 def test_dirac_on_champernowne():
     # third symbol of the concatenation is 1
-    pred = dirac_predictor(ChampernowneSource())
+    pred = DiracPredictor(ChampernowneSource())
     assert pred.conditional((0, 1)) == (0.0, 1.0)
 
 
 def test_dirac_off_support_convention():
     # conditionals off the support still predict x_{t+1} with probability 1
-    pred = dirac_predictor(PeriodicSource("01"))
+    pred = DiracPredictor(PeriodicSource("01"))
     assert pred.conditional((1,)) == (0.0, 1.0)
     assert pred.conditional((1, 1)) == (1.0, 0.0)
 
 
 def test_dirac_incremental_matches_stateless():
-    pred = dirac_predictor(ChampernowneSource())
+    pred = DiracPredictor(ChampernowneSource())
     inc = pred.fresh()
     past = []
     for t in range(1, 12):

@@ -3,24 +3,34 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predlab import (
     ChainSpec,
     DiracMeasure,
+    DiracPredictor,
+    LossTrace,
     MuX,
     PeriodicSource,
     check_pinsker,
     dirac_kl,
-    dirac_predictor,
     expected_kl,
     kt_predictor,
     finite_order_mixture,
+    pinsker_abs_bound,
+    stationarity_window_check,
     uniform_predictor,
+    window_distribution,
     word_frequency,
 )
-from predlab.loss import CSV_COLUMNS, trace_from_realized_probs
+from predlab.loss import (
+    CSV_COLUMNS,
+    MAX_WINDOW,
+    _window_counts,
+    trace_from_realized_probs,
+    write_tidy_csv,
+)
 
 
 def test_uniform_coin_costs_one_bit_per_step():
@@ -31,7 +41,7 @@ def test_uniform_coin_costs_one_bit_per_step():
 
 def test_perfect_predictor_costs_nothing():
     src = PeriodicSource("011")
-    trace = dirac_kl(src, dirac_predictor(src), 50)
+    trace = dirac_kl(src, DiracPredictor(src), 50)
     assert (trace.kl_bits == 0.0).all()
     assert (trace.abs_loss == 0.0).all()
     assert (trace.sq_loss == 0.0).all()
@@ -40,7 +50,7 @@ def test_perfect_predictor_costs_nothing():
 def test_impossible_symbol_records_inf_and_run_continues():
     # the Dirac predictor for all-zeros gives the alternating sequence
     # probability zero at step 2; later steps still get recorded
-    trace = dirac_kl(PeriodicSource("01"), dirac_predictor(PeriodicSource("0")), 6)
+    trace = dirac_kl(PeriodicSource("01"), DiracPredictor(PeriodicSource("0")), 6)
     assert trace.kl_bits[0] == 0.0
     assert math.isinf(trace.kl_bits[1])
     assert math.isinf(trace.cum_kl_bits[-1])
@@ -120,6 +130,15 @@ def test_pinsker_corollary_on_traces():
         assert check_pinsker(dirac_kl(src, rho, 300))
 
 
+def test_pinsker_bound_is_elementwise_and_check_can_fail():
+    bound = pinsker_abs_bound(np.array([-1.0, 0.0, 2.0, math.inf]))
+    assert bound.tolist() == [0.0, 0.0, math.sqrt(math.log(2.0)), math.inf]
+    zeros = np.zeros(4)
+    assert check_pinsker(LossTrace(kl_bits=zeros, abs_loss=zeros, sq_loss=zeros))
+    miss = np.full(4, 0.5)  # abs loss 1/2 at zero KL breaks the corollary
+    assert not check_pinsker(LossTrace(kl_bits=zeros, abs_loss=miss, sq_loss=zeros))
+
+
 def test_liminf_proxy_is_tail_window_minimum():
     trace = trace_from_realized_probs(np.linspace(0.3, 0.9, 20))
     proxy = trace.liminf_proxy("kl")
@@ -138,6 +157,37 @@ def test_csv_format(tmp_path):
     assert len(rows) == 11
     assert int(rows[1][0]) == 1
     assert float(rows[1][1]) == pytest.approx(1.0)  # KT first step is 1/2
+
+
+def test_csv_writers_match_per_row_repr_reference(tmp_path):
+    # inf, zero, the smallest subnormal and the largest double below 1
+    values = np.array([math.inf, 0.0, 5e-324, 1.0 - 2.0**-53])
+    trace = LossTrace(kl_bits=values, abs_loss=values[::-1].copy(),
+                      sq_loss=np.roll(values, 1))
+    trace.to_csv(tmp_path / "trace.csv")
+    columns = [trace.kl_bits, trace.cum_kl_bits, trace.cesaro_kl,
+               trace.abs_loss, trace.cesaro_abs, trace.sq_loss, trace.cesaro_sq]
+    with (tmp_path / "trace_ref.csv").open("w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for i in range(len(trace)):
+            row = {"step": i + 1}
+            for name, col in zip(CSV_COLUMNS[1:], columns):
+                row[name] = repr(float(col[i]))
+            writer.writerow(row)
+    assert (tmp_path / "trace.csv").read_bytes() == \
+        (tmp_path / "trace_ref.csv").read_bytes()
+
+    series = {"a": values, "b": values[:2]}
+    write_tidy_csv(tmp_path / "tidy.csv", series)
+    with (tmp_path / "tidy_ref.csv").open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "metric", "value"])
+        for metric, col in series.items():
+            for t, v in enumerate(col, start=1):
+                writer.writerow([t, metric, repr(float(v))])
+    assert (tmp_path / "tidy.csv").read_bytes() == \
+        (tmp_path / "tidy_ref.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +277,59 @@ def test_word_frequency_matches_naive_scan(w, seq):
         1 for i in range(len(seq) - len(w) + 1) if tuple(seq[i : i + len(w)]) == w
     ) / (len(seq) - len(w) + 1)
     assert word_frequency(w, seq) == pytest.approx(naive, rel=1e-15)
+
+
+def _naive_windows(seq, k, start, stride):
+    return [tuple(seq[p : p + k]) for p in range(start - 1, len(seq) - k + 1, stride)]
+
+
+def _word(code, k):
+    return tuple((code >> (k - 1 - i)) & 1 for i in range(k))
+
+
+@given(st.lists(st.integers(0, 1), max_size=40), st.integers(1, 4),
+       st.integers(1, 8), st.integers(1, 6))
+@example(seq=[0, 1], k=4, start=1, stride=1)  # len - k + 1 < 0 as a slice end
+@settings(max_examples=150)
+def test_window_statistics_match_naive_scan(seq, k, start, stride):
+    windows = _naive_windows(seq, k, start, stride)
+    counts = _window_counts(seq, k, start, stride)
+    assert counts.tolist() == [windows.count(_word(c, k)) for c in range(1 << k)]
+    if not windows:
+        with pytest.raises(ValueError):
+            window_distribution(seq, k, start, stride)
+        return
+    expected = {w: windows.count(w) / len(windows) for w in set(windows)}
+    assert window_distribution(seq, k, start, stride) == expected
+
+
+@given(st.lists(st.integers(0, 1), max_size=60), st.integers(1, 4),
+       st.integers(1, 8), st.integers(1, 8), st.integers(1, 6))
+@settings(max_examples=150)
+def test_stationarity_window_check_matches_naive_scan(seq, k, a, b, stride):
+    wa = _naive_windows(seq, k, a, stride)
+    wb = _naive_windows(seq, k, b, stride)
+    if not (wa and wb):
+        with pytest.raises(ValueError):
+            stationarity_window_check(seq, k, a, b, stride)
+        return
+    n_a, n_b = len(wa), len(wb)
+    expected = []
+    for w in sorted(set(wa) | set(wb)):
+        fa, fb = wa.count(w) / n_a, wb.count(w) / n_b
+        pooled = (fa * n_a + fb * n_b) / (n_a + n_b)
+        se = math.sqrt(max(pooled * (1.0 - pooled), 0.0) * (1.0 / n_a + 1.0 / n_b))
+        expected.append((w, fa, fb, se))
+    assert stationarity_window_check(seq, k, a, b, stride) == expected
+
+
+def test_window_length_outside_counted_range_rejected():
+    seq = [0, 1] * 20
+    for k in (0, MAX_WINDOW + 1):
+        with pytest.raises(ValueError):
+            _window_counts(seq, k)
+        with pytest.raises(ValueError):
+            window_distribution(seq, k, 1, 1)
+        with pytest.raises(ValueError):
+            stationarity_window_check(seq, k, 1, 2, 3)
+    assert len(_window_counts(seq, MAX_WINDOW)) == 1 << MAX_WINDOW

@@ -15,6 +15,7 @@ from predlab import (
     FileSource,
     MuX,
     PeriodicSource,
+    SequenceSource,
     SourceExhaustedError,
     brute_force_marginal,
     dirac_kl,
@@ -222,6 +223,11 @@ def test_log_loss_bound_values():
     assert log_loss_bound(1000) / 1000 == pytest.approx(0.020652482275895466, abs=1e-10)
     with pytest.raises(ValueError):
         log_loss_bound(0)
+    horizons = np.array([1, 10, 1000])
+    assert log_loss_bound(horizons).tolist() == [log_loss_bound(1), log_loss_bound(10),
+                                                 log_loss_bound(1000)]
+    with pytest.raises(ValueError):
+        log_loss_bound(np.array([3, 0, 5]))
 
 
 def test_cumulative_loss_under_bound_periodic():
@@ -417,6 +423,34 @@ def test_forward_states_are_sparse_and_sorted():
                 assert (state.weights > 0.0).all()
                 assert state.total == pytest.approx(float(state.weights.sum()),
                                                     rel=1e-12)
+
+
+class _RecordingSource(SequenceSource):
+    """Passes through to ``inner`` and records the largest prefix request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.largest_prefix = 0
+
+    def symbol_at(self, t):
+        return self.inner.symbol_at(t)
+
+    def prefix_array(self, n):
+        self.largest_prefix = max(self.largest_prefix, n)
+        return self.inner.prefix_array(n)
+
+
+@pytest.mark.parametrize("spec", ["coin:3", "champernowne"])
+def test_tables_follow_the_largest_alive_state(spec):
+    # on these targets the states near J die out within a few steps, so the
+    # tables stay at their initial J + 64 however far the frontier J + t runs
+    src = _RecordingSource(parse_source_spec(spec))
+    mux = MuX(src, ChainSpec(1000))
+    state = mux.initial_state()
+    for s in src.inner.prefix_array(300):
+        state = mux.advance(state, int(s))
+    assert state.t == 300
+    assert src.largest_prefix <= 1000 + 64
 
 
 def test_fields_read_by_the_benchmark_trace():
