@@ -3,10 +3,12 @@
 
 For each target predictor this builds the sequence that defeats it, scores
 the target on that sequence, and scores the sequence's own tracking measure
-on it, demonstrating the >= 1 bit/step versus o(n)/n contrast.
+on it, demonstrating the >= 1 bit/step versus o(n)/n contrast.  Exits 1
+if any run fails.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -15,7 +17,9 @@ from predlab.cli import main as cli_main
 BATTERY = ["uniform", "kt", "mix:3", "mux:periodic:01"]
 
 
-def run(out_root: Path, n: int, trunc: int) -> None:
+def run(out_root: Path, n: int, trunc: int) -> int:
+    """Run the battery; returns the number of runs that failed."""
+    failed = 0
     for spec in BATTERY:
         out_dir = out_root / spec.replace(":", "_")
         start = time.monotonic()
@@ -25,7 +29,9 @@ def run(out_root: Path, n: int, trunc: int) -> None:
         ])
         elapsed = time.monotonic() - start
         status = "ok" if code == 0 else f"exit {code}"
+        failed += code != 0
         print(f"[{spec}] {status} in {elapsed:.1f}s -> {out_dir}")
+    return failed
 
 
 if __name__ == "__main__":
@@ -34,4 +40,4 @@ if __name__ == "__main__":
     parser.add_argument("-n", type=int, default=500)
     parser.add_argument("--trunc", type=int, default=10_000)
     args = parser.parse_args()
-    run(Path(args.out), args.n, args.trunc)
+    sys.exit(1 if run(Path(args.out), args.n, args.trunc) else 0)

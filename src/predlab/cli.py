@@ -227,11 +227,15 @@ def _cmd_ergodicity(args) -> int:
             dist = loss.window_distribution(traj, k, 1, 1)
             for word in itertools.product((0, 1), repeat=k):
                 word_freqs[format_bits(word)] = dist.get(word, 0.0)
-    windows = loss.stationarity_window_check(traj, k=3, offset_a=1, offset_b=50)
-    max_z = 0.0
-    for _, fa, fb, se in windows:
-        if se > 0.0:
-            max_z = max(max_z, abs(fa - fb) / se)
+    try:
+        windows = loss.stationarity_window_check(traj, k=3, offset_a=1, offset_b=50)
+    except ValueError:  # a run too short for a window at either offset
+        max_z = None
+    else:
+        max_z = 0.0
+        for _, fa, fb, se in windows:
+            if se > 0.0:
+                max_z = max(max_z, abs(fa - fb) / se)
     payload = {
         "config": asdict(cfg),
         "freq_0": 1.0 - freq_1,

@@ -7,13 +7,26 @@ at least pi1 / (n+1)^2 (the never-reset path from state 1), so its cumulative
 log2 loss on x is at most -log2(pi1) + 2 log2(n+1) = o(n).
 
 Numerics.  Word marginals come from a forward recursion over initial states
-1..J that keeps only the alive states (emissions matched so far), so a step
-costs O(alive): one dot product for the reset inflow and an index shift for
-the up-moves.  ``dropped_mass`` certifies the weight left out: the tail
-pi1/J, plus weights too small to multiply without underflow.  Each weight
-counts the roundings behind it and a sum of n terms in any order adds n - 1
-(Higham, Accuracy and Stability of Numerical Algorithms, chs. 3-4), so the
-tracked total T is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
+1..J that keeps only the alive states (emissions matched so far), in two
+blocks.  Along a path that never resets the weights telescope,
+pi1/j^2 * prod_{i=j}^{m-1} i^2/(i+1)^2 = pi1/m^2, so the *never-reset block*
+stores only its origins, the initial states j that still match; the weight
+of the path from j is read from the stationary-weight table at its current
+state.  While the surviving origins are evenly spaced (every state on an
+all-zeros target, every other one on an alternating target) they are a
+strided range, and a step on them is a strided dot product for the reset
+inflow, a strided sum and a count over the emissions, with no array the
+size of the alive set written; otherwise they are an index array.  The
+*reset-born block*, the states below t, keeps explicit weights: one dot
+product for its inflow and an index shift for its up-moves.  A never-reset
+block of fewer than _MIN_BLOCK origins joins it, because its fixed cost of
+numpy calls per step outweighs what the block saves.
+
+``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
+weights too small to multiply without underflow.  Each weight counts the
+roundings behind it and a sum of n terms in any order adds n - 1 (Higham,
+Accuracy and Stability of Numerical Algorithms, chs. 3-4), so the tracked
+total T is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
     T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
@@ -30,7 +43,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,12 +67,17 @@ _RESCALE_FLOOR = 1e-270
 #: its rounding relative
 _WEIGHT_FLOOR = 2.0**-960
 _U = 2.0**-53  # unit roundoff
-#: roundings behind a stationary weight pi1/j^2 and behind a table entry p_j
-#: or 1 - p_j; the spare ones cover forming enclosure ends from a sum
+#: roundings behind a stationary weight pi1/j^2 and behind a transition
+#: probability p_j or 1 - p_j; the spare ones cover forming enclosure ends
+#: from a sum
 _INIT_ROUNDINGS, _TABLE_ROUNDINGS, _SPARE_ROUNDINGS = 6, 3, 8
 #: outward slack per bit of log2 magnitude, for log2, adding the scale,
 #: logaddexp2 and the exp2 that reads an endpoint back
 _LOG_SLACK = 8.0 * _U
+
+_NO_ORIGINS = range(0)
+#: a never-reset block with fewer origins joins the reset-born block
+_MIN_BLOCK = 64
 
 
 class ImpossiblePastError(ValueError):
@@ -77,9 +94,11 @@ def log_loss_bound(n):
 
 
 def _rel_err(fw) -> float:
-    """gamma_k bounding the relative error of a sum of ``fw.weights``, each
-    carrying ``fw.roundings`` roundings (plus the spare ones)."""
-    ku = (fw.roundings + len(fw.weights) + _SPARE_ROUNDINGS) * _U
+    """gamma_k bounding the relative error of a sum of the alive weights of
+    ``fw`` (a ForwardState or Transition), each carrying at most
+    ``fw.roundings`` roundings (plus the spare ones)."""
+    alive = len(fw.born_states) + len(fw.origins)
+    ku = (fw.roundings + alive + _SPARE_ROUNDINGS) * _U
     return ku / (1.0 - ku)
 
 
@@ -94,29 +113,61 @@ def _log2_out(x: float, up: bool, scale: float = 0.0) -> float:
     return v + slack if up else v - slack
 
 
-@dataclass
-class ForwardState:
-    """Forward weights after consuming t symbols.
+def _as_range(origins: np.ndarray):
+    """Evenly spaced origins as a range, others unchanged; O(len)."""
+    if not len(origins):
+        return _NO_ORIGINS
+    step = int(origins[1] - origins[0]) if len(origins) > 1 else 1
+    if (np.diff(origins) == step).all():
+        return range(int(origins[0]), int(origins[-1]) + 1, step)
+    return origins
 
-    weights[k] is the (scaled) joint weight of "state states[k] now, all
-    consumed symbols matched", for the alive states only: ``states`` is
-    1-based and strictly ascending, and no weight is zero.  True weights are
-    weights * 2**scale_log2; each is within a factor 1 +- gamma_roundings of
-    its exact value.  ``total`` is the sum of the weights; dropped_mass is
-    an absolute certified bound on all excluded weight.
+
+class ForwardState:
+    """Forward weights after consuming t symbols, for the alive states
+    (all consumed symbols matched) only, in two blocks.
+
+    ``origins`` (a range or an ascending int64 array) are the never-reset
+    block's initial states: at t >= 1 the path from origin j is in state
+    j + t - 1 with weight pi1/(j + t - 1)^2, which carries _INIT_ROUNDINGS
+    roundings.  ``born_states`` (ascending, 1-based) and ``born_weights`` are
+    the reset-born block: the states below t, plus the paths of a never-reset
+    block that shrank below _MIN_BLOCK origins, each weight within a factor
+    1 +- gamma_roundings of exact.  True weights are weights * 2**scale_log2;
+    only a state without a never-reset block is rescaled.  ``total`` is the
+    sum of all alive weights; dropped_mass is an absolute certified bound on
+    all excluded weight.
+
+    ``ForwardState(t, states, weights, dropped_mass, ...)`` builds a state
+    whose weights are all explicit.  ``states`` and ``weights`` read all
+    alive states, ascending, materialised on each read; no weight is zero.
     """
 
-    t: int
-    states: np.ndarray
-    weights: np.ndarray
-    dropped_mass: float
-    scale_log2: float = 0.0
-    roundings: int = 0
-    total: float | None = None
+    def __init__(self, t: int, states: np.ndarray, weights: np.ndarray,
+                 dropped_mass: float, scale_log2: float = 0.0, roundings: int = 0,
+                 total: float | None = None, origins=_NO_ORIGINS) -> None:
+        # a never-reset weight is at least pi1/(J+t)^2, far above the floors
+        assert scale_log2 == 0.0 or not len(origins)
+        self.t = t
+        self.born_states = states
+        self.born_weights = weights
+        self.origins = origins
+        self.dropped_mass = dropped_mass
+        self.scale_log2 = scale_log2
+        self.roundings = roundings
+        self.total = float(np.sum(self.weights)) if total is None else total
 
-    def __post_init__(self) -> None:
-        if self.total is None:
-            self.total = float(np.sum(self.weights))
+    @property
+    def states(self) -> np.ndarray:
+        o = self.origins
+        if isinstance(o, range):
+            o = np.arange(o.start, o.stop, o.step, dtype=np.int64)
+        return np.concatenate([self.born_states, o + max(self.t - 1, 0)])
+
+    @property
+    def weights(self) -> np.ndarray:
+        j = self.states[len(self.born_states):].astype(np.float64)
+        return np.concatenate([self.born_weights, PI1 / (j * j)])
 
     def log2_mass(self) -> float:
         """log2 of the tracked mass (the point value, not an enclosure end)."""
@@ -138,13 +189,22 @@ class ForwardState:
 
 
 class Transition(NamedTuple):
-    """``MuX.propagate``'s pre-emission weights at time t+1: states, weights
-    and roundings as in ForwardState, the mask of states emitting 1, and
-    s0, s1, the sums of the weights by emission."""
+    """``MuX.propagate``'s pre-emission weights at time t+1.
 
-    states: np.ndarray
-    weights: np.ndarray
-    ones: np.ndarray
+    born_states, born_weights and roundings are as in ForwardState (the
+    reset-born block now holds the new state 1 in front), born_ones marks
+    its states emitting 1.  origins is the never-reset block, unchanged.
+    common is the one symbol all their next states emit, or None if they
+    differ; then origin_ones marks the origins whose next state emits 1 (a
+    table view for a range).  s0, s1 are the sums of all weights by emission.
+    """
+
+    born_states: np.ndarray
+    born_weights: np.ndarray
+    born_ones: np.ndarray
+    origins: range | np.ndarray
+    origin_ones: np.ndarray | None
+    common: int | None
     s0: float
     s1: float
     roundings: int
@@ -160,10 +220,10 @@ class MuX:
         self.source = source
         self.chain = chain or ChainSpec()
         self._cap = 0
-        # _ones[i]: does state i+1 emit 1.  _up[j], _reset[j]: p_j and
-        # 1 - p_j = (2j+1)/(j+1)^2, indexed by state
+        # _ones[i]: does state i+1 emit 1.  _pi[j], _reset[j]: pi_j = pi1/j^2
+        # and 1 - p_j = (2j+1)/(j+1)^2, indexed by state
         self._ones = np.empty(0, dtype=bool)
-        self._up = self._reset = np.empty(0, dtype=np.float64)
+        self._pi = self._reset = np.empty(0, dtype=np.float64)
 
     # -- cached per-state tables ------------------------------------------
 
@@ -181,8 +241,10 @@ class MuX:
             new_cap = size  # finite source: take exactly what the query needs
             emis = self.source.prefix_array(new_cap)
         self._ones = emis.view(bool)
+        self._pi = np.empty(new_cap + 1, dtype=np.float64)
+        self._pi[0] = 0.0
+        self._pi[1:] = self.chain.stationary_weights(new_cap)
         j = np.arange(new_cap + 1, dtype=np.float64)
-        self._up = (j * j) / ((j + 1.0) * (j + 1.0))
         self._reset = (2.0 * j + 1.0) / ((j + 1.0) * (j + 1.0))
         self._cap = new_cap
 
@@ -192,41 +254,70 @@ class MuX:
         """Stationary weights over initial states 1..J, tail mass dropped."""
         J = self.chain.truncation_level
         self._ensure_tables(J)
-        return ForwardState(0, np.arange(1, J + 1, dtype=np.int64),
-                            self.chain.stationary_weights(J),
-                            self.chain.tail_mass_bound, roundings=_INIT_ROUNDINGS)
+        empty = np.empty(0, dtype=np.int64)
+        return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
+                            roundings=_INIT_ROUNDINGS,
+                            total=float(self._pi[1:J + 1].sum()),
+                            origins=range(1, J + 1))
 
     def propagate(self, state: ForwardState) -> Transition:
         """One transition step without emission commitment: the alive states
         move up, weighted by p_j, and a new state 1 in front takes the reset
         inflow (none at t=0, whose weights already are the time-1 law).
         s0 + s1 equals the current total up to rounding."""
-        s, w = state.states, state.weights
-        # state j reads x_{j+1} after its up-move; the new state 1 reads x_1
-        self._ensure_tables(int(s[-1]) + 1 if len(s) else 1)
-        if state.t == 0:
+        t, s, w, o = state.t, state.born_states, state.born_weights, state.origins
+        # state j reads x_{j+1} after its up-move; the new state 1 reads x_1.
+        # The tables are sized first: a strided view past their end would
+        # come back short instead of failing
+        top = int(s[-1]) + 1 if len(s) else 1
+        if len(o):
+            top = max(top, int(o[-1]) + t)
+        self._ensure_tables(top)
+        n = len(s) + len(o)
+        inflow = b0 = b1 = 0.0  # the never-reset block's reset share and sums
+        origin_ones, common = None, None
+        if len(o):
+            # with c = j + t - 1, the path from origin j is next in state
+            # c + 1, with weight pi[c + 1], emitting x_{c+1}; at t >= 1 it
+            # moves there from state c and sends c's reset share to state 1
+            c = (slice(o.start + t - 1, o.stop + t - 1, o.step)
+                 if isinstance(o, range) else o + (t - 1))
+            if t:
+                inflow = np.dot(self._pi[c], self._reset[c])
+            block = self._pi[1:][c]
+            emits = self._ones[c]
+            k = np.count_nonzero(emits)
+            if k == 0 or k == len(o):
+                common = int(k > 0)
+                b = float(np.add.reduce(block))
+                b0, b1 = (0.0, b) if common else (b, 0.0)
+            else:
+                origin_ones = emits
+                b1 = float(np.add.reduce(block, where=emits))
+                b0 = float(np.add.reduce(block, where=~emits))
+        if t == 0:
             states, v, roundings = s, w, state.roundings
             ones = self._ones[s - 1]
         else:
-            n = len(s)
-            states = np.empty(n + 1, dtype=np.int64)
+            states = np.empty(len(s) + 1, dtype=np.int64)
             states[0] = 1
             np.add(s, 1, out=states[1:])
-            v = np.empty(n + 1, dtype=np.float64)
+            v = np.empty(len(s) + 1, dtype=np.float64)
+            up = v[1:]
             # the tables cover every state, so "clip" only skips the
             # buffering that take(out=...) does in its default mode
-            self._reset.take(s, out=v[1:], mode="clip")
-            v[0] = np.dot(w, v[1:])
-            self._up.take(s, out=v[1:], mode="clip")
-            v[1:] *= w
-            ones = np.empty(n + 1, dtype=bool)
+            self._reset.take(s, out=up, mode="clip")
+            v[0] = np.dot(w, up) + inflow
+            np.square(s / states[1:], out=up)  # p_j = (j/(j+1))^2: 3 roundings
+            up *= w
+            ones = np.empty(len(s) + 1, dtype=bool)
             ones[0] = self._ones[0]
             self._ones.take(s, out=ones[1:], mode="clip")  # j + 1 emits x_{j+1}
-            # the dot product's n terms each add a product and n - 1 sums
+            # the dot products' n terms each add a product and n - 1 sums
             roundings = state.roundings + _TABLE_ROUNDINGS + n
-        s1 = float(np.add.reduce(v, where=ones))
-        s0 = float(np.add.reduce(v, where=~ones))
-        return Transition(states, v, ones, s0, s1, roundings)
+        s1 = float(np.add.reduce(v, where=ones)) + b1
+        s0 = float(np.add.reduce(v, where=~ones)) + b0
+        return Transition(states, v, ones, o, origin_ones, common, s0, s1, roundings)
 
     def advance(self, state: ForwardState, symbol: Symbol,
                 step: Transition | None = None) -> ForwardState:
@@ -234,30 +325,54 @@ class MuX:
         validate_symbol(symbol)
         if step is None:
             step = self.propagate(state)
-        keep = step.ones if symbol else ~step.ones
+        keep = step.born_ones if symbol else ~step.born_ones
         if keep[1:].all():  # every up-move survives: slice instead of gather
-            first = 0 if keep[0] else 1
-            states, w = step.states[first:], step.weights[first:]
+            first = 1 if len(keep) and not keep[0] else 0
+            states, w = step.born_states[first:], step.born_weights[first:]
         else:
-            states, w = step.states[keep], step.weights[keep]
+            states, w = step.born_states[keep], step.born_weights[keep]
+        origins = step.origins
+        if step.common is not None:
+            if step.common != symbol:
+                origins = _NO_ORIGINS
+        elif len(origins):
+            idx = np.flatnonzero(step.origin_ones if symbol else ~step.origin_ones)
+            if isinstance(origins, range):
+                idx *= origins.step
+                idx += origins.start
+                origins = _as_range(idx)
+            else:
+                origins = _as_range(origins[idx])
         total = step.s1 if symbol else step.s0
         dropped = state.dropped_mass
         scale = state.scale_log2
+        # a never-reset weight is at least pi1/(J+t)^2, and every reset-born
+        # one descends from an inflow of at least pi1/(J+t)^3 while the
+        # never-reset block lives, so the floors below touch only the
+        # reset-born block, and only once the never-reset block is gone
         if 0.0 < total < _RESCALE_FLOOR:
             shift = -math.floor(math.log2(total))
             w = w * 2.0**shift
             total *= 2.0**shift
             scale -= shift
         if len(w) and w.min() < _WEIGHT_FLOOR:
+            assert not len(origins)
             small = w < _WEIGHT_FLOOR
             bound = float(w[small].sum()) * (1.0 + 2.0 * _rel_err(step))
             if bound > 0.0:
                 dropped = float(np.nextafter(dropped + math.ldexp(bound, int(scale)), np.inf))
             states, w = states[~small], w[~small]
             total = float(w.sum())
-        return ForwardState(t=state.t + 1, states=states, weights=w,
-                            dropped_mass=dropped, scale_log2=scale,
-                            roundings=step.roundings, total=total)
+        new = ForwardState(t=state.t + 1, states=states, weights=w,
+                           dropped_mass=dropped, scale_log2=scale,
+                           roundings=step.roundings, total=total,
+                           origins=origins)
+        if 0 < len(origins) < _MIN_BLOCK:
+            # a few origins cost more per step as a block (its numpy calls)
+            # than as explicit weights; their 6 roundings are within the count
+            new = ForwardState(new.t, new.states, new.weights, dropped,
+                               roundings=step.roundings, total=total)
+        return new
 
     def forward(self, y: Word) -> ForwardState:
         state = self.initial_state()

@@ -132,6 +132,22 @@ def test_ergodicity_frequencies(capsys):
     assert payload["window_check"]["max_abs_z"] <= 3.0
 
 
+@pytest.mark.parametrize("n", [51, 2])
+def test_ergodicity_too_short_for_the_window_check(capsys, n):
+    # the check compares windows at offsets 1 and 50 and needs n >= 52
+    code, out = run_cli(capsys, "ergodicity", "--target", "periodic:01",
+                        "-n", str(n), "--seed", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["window_check"] == {"k": 3, "offset_a": 1, "offset_b": 50,
+                                       "stride": 100, "max_abs_z": None}
+    lengths = {len(w) for w in payload["word_freqs"]}
+    assert lengths == {k for k in (1, 2, 3) if k <= n}
+    for k in lengths:
+        assert math.fsum(v for w, v in payload["word_freqs"].items()
+                         if len(w) == k) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_flags_without_effect_are_gone(tmp_path, capsys):
     # the adversary is deterministic and sampling is exact: neither flag exists
     out = tmp_path / "t"

@@ -4,7 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predlab import (
@@ -25,7 +25,7 @@ from predlab import (
     word_frequency,
 )
 from predlab.cli import parse_source_spec
-from predlab.mux import ForwardState
+from predlab.mux import ForwardState, _as_range
 
 from conftest import corpus_sources
 
@@ -375,7 +375,8 @@ def assert_encloses(iv, lower, upper):
 
 
 @pytest.mark.parametrize("trunc", [64, 500])
-@pytest.mark.parametrize("spec", ["periodic:01", "coin:5", "champernowne"])
+@pytest.mark.parametrize("spec", ["periodic:01", "coin:5", "champernowne",
+                                  "periodic:0", "periodic:011"])
 def test_enclosures_contain_high_precision_recursion(spec, trunc):
     rng = np.random.default_rng(trunc)
     src = parse_source_spec(spec)
@@ -406,6 +407,95 @@ def test_enclosures_contain_high_precision_recursion(spec, trunc):
                 assert_encloses(iv, ratio, ratio)
     if spec == "periodic:01":
         assert mux.forward((0,) * 2500).scale_log2 < 0.0
+
+
+@pytest.mark.parametrize("trunc", [64, 500, 10_000])
+def test_periodic01_enclosures_contain_closed_form_marginals(trunc):
+    # at J = infinity on periodic:01 the odd states emit 0, so mu(0) = pi1 *
+    # (sum of odd 1/j^2) = 3/4; an even state (a 1) moves on to an odd state
+    # or to state 1, so mu(11) = 0; and an odd state's up-move lands on an
+    # even one, so after the first 0 every further 0 is a reset from state
+    # 1, with probability 3/4
+    mux = mux01(trunc)
+    exact = {(0,): mpmath.mpf(3) / 4, (1,): mpmath.mpf(1) / 4,
+             (0, 0): mpmath.mpf(1) / 2, (0, 1): mpmath.mpf(1) / 4,
+             (1, 0): mpmath.mpf(1) / 4, (1, 1): mpmath.mpf(0)}
+    for k in (3, 10, 200):
+        exact[(0,) * k] = mpmath.mpf(1) / 2 * (mpmath.mpf(3) / 4) ** (k - 2)
+    for y, value in exact.items():
+        assert_encloses(mux.marginal(y), value, value)
+
+
+def dense_forward(source, trunc, y):
+    """The plain float64 forward recursion over every state 1..trunc+len(y),
+    dead states included: the weights after each symbol of y."""
+    size = trunc + len(y)
+    x = source.prefix_array(size)
+    j = np.arange(1.0, size + 1.0)
+    w = np.where(j <= trunc, PI1 / (j * j), 0.0)
+    out = []
+    for t, sym in enumerate(y):
+        if t:
+            inflow = float(np.sum(w * (2.0 * j + 1.0) / ((j + 1.0) * (j + 1.0))))
+            w = np.concatenate([[inflow], w[:-1] * (j[:-1] * j[:-1])
+                                / ((j[:-1] + 1.0) * (j[:-1] + 1.0))])
+        w = np.where(x == sym, w, 0.0)
+        out.append(w)
+    return out
+
+
+class _ArraySource(SequenceSource):
+    """The bits of an array, as a finite target."""
+
+    def __init__(self, bits, spec):
+        self.bits = np.asarray(bits, dtype=np.uint8)
+        self.spec = spec
+
+    def symbol_at(self, t):
+        return int(self.bits[t - 1])
+
+    def prefix_array(self, n):
+        if n > len(self.bits):
+            raise SourceExhaustedError(f"needs {n} symbols")
+        return self.bits[:n].copy()
+
+
+def test_forward_state_blocks_match_dense_recursion():
+    rng = np.random.default_rng(8)
+    # alternating up to J, random after it: the every-other-state range
+    # meets mixed emissions once its top states pass J
+    alternating_then_random = _ArraySource(
+        np.concatenate([np.arange(300) % 2, rng.integers(0, 2, size=800)]),
+        "alternating then random")
+    layouts = set()
+    for src in corpus_sources() + [PeriodicSource("011"), alternating_then_random]:
+        recorder = _RecordingSource(src)
+        mux = MuX(recorder, ChainSpec(300))
+        # the target's own prefix keeps its top states alive past J + 64; a
+        # word starting with 1 leaves periodic:011 two residue classes
+        for y in (tuple(int(b) for b in src.prefix_array(150)),
+                  (1,) + tuple(int(b) for b in rng.integers(0, 2, size=149))):
+            state = mux.initial_state()
+            for s, want in zip(y, dense_forward(src, 300, y)):
+                kind = type(state.origins)
+                state = mux.advance(state, s)
+                layouts.add((kind, type(state.origins)))
+                alive = np.flatnonzero(want)
+                assert np.array_equal(state.states, alive + 1)
+                np.testing.assert_allclose(state.weights, want[alive], rtol=1e-12, atol=0)
+                assert state.total == pytest.approx(float(want.sum()), rel=1e-12)
+        if src.spec == "periodic:01":
+            assert recorder.largest_prefix > 300 + 64
+    assert {(range, range), (range, np.ndarray), (np.ndarray, np.ndarray)} <= layouts
+
+
+@given(st.lists(st.integers(1, 60), max_size=12, unique=True))
+@example([1, 3, 4, 7])  # even ends, uneven inside
+def test_evenly_spaced_origins_become_a_range(values):
+    origins = np.array(sorted(values), dtype=np.int64)
+    got = _as_range(origins)
+    assert isinstance(got, range) == (len(origins) < 3 or len(set(np.diff(origins))) == 1)
+    assert list(got) == origins.tolist()
 
 
 def test_forward_states_are_sparse_and_sorted():

@@ -7,15 +7,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_consistency_curves.py"),
-         "--out", str(tmp_path), "-n", "20", "--trunc", "200"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
+    proc = run_script("run_consistency_curves.py",
+                      "--out", str(tmp_path), "-n", "20", "--trunc", "200")
     assert proc.returncode == 0, proc.stderr
     files = sorted(tmp_path.glob("*.csv"))
     assert len(files) == 8
@@ -27,3 +31,20 @@ def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
         assert [r[1] for r in rows[1:]] == (
             ["cum_kl_bits"] * 20 + ["cesaro_kl"] * 20 + ["bound_bits"] * 20)
         assert [int(r[0]) for r in rows[1:]] == list(range(1, 21)) * 3
+
+
+def test_theorem1_battery_script_reports_failure(tmp_path):
+    proc = run_script("run_theorem1_battery.py",
+                      "--out", str(tmp_path / "ok"), "-n", "20", "--trunc", "200")
+    assert proc.returncode == 0, proc.stderr
+    # the CLI prints each run's summary too; the script's lines open with [
+    status = [line for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert len(status) == 4 and all("] ok in " in line for line in status)
+    run_dirs = sorted((tmp_path / "ok").iterdir())
+    assert len(run_dirs) == 4
+    for run_dir in run_dirs:
+        assert len(list(run_dir.iterdir())) == 5
+    proc = run_script("run_theorem1_battery.py",
+                      "--out", str(tmp_path / "bad"), "-n", "20", "--trunc", "0")
+    assert proc.returncode != 0
+    assert proc.stdout.count("] exit 2 in ") == 4
