@@ -13,14 +13,7 @@ from .adversary import (
     adversarial_sequence,
     theorem1_experiment,
 )
-from .baselines import (
-    FiniteOrderMixture,
-    KTPredictor,
-    UniformPredictor,
-    finite_order_mixture,
-    kt_predictor,
-    uniform_predictor,
-)
+from .baselines import FiniteOrderMixture, KTPredictor, UniformPredictor
 from .chain import (
     PI1,
     ChainSpec,
@@ -79,7 +72,6 @@ __all__ = [
     "AdversarialRun", "AdversarialSource", "adversarial_sequence",
     "theorem1_experiment",
     "FiniteOrderMixture", "KTPredictor", "UniformPredictor",
-    "finite_order_mixture", "kt_predictor", "uniform_predictor",
     "PI1", "ChainSpec", "StatePath", "chain_info", "first_return_prob",
     "mean_return_time", "return_prob_partial_sum", "sample_path",
     "stationary_weight", "transition_prob",

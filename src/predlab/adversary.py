@@ -51,6 +51,8 @@ class AdversarialSource(SequenceSource):
         return self._symbols[t - 1]
 
     def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
         self._extend_to(n)
         return np.asarray(self._symbols[:n], dtype=np.uint8)
 

@@ -1,5 +1,7 @@
-"""Reference predictors: uniform coin, the Krichevsky-Trofimov add-half
-estimator, and a Bayesian mixture of finite-order context estimators.
+"""Reference predictors, one class each: `UniformPredictor` (a fair coin),
+`KTPredictor` (the Krichevsky-Trofimov add-half estimator) and
+`FiniteOrderMixture` (a Bayesian mixture of order-0..K context KT estimators
+under the prior w_k proportional to 2^-k).
 
 All of them derive one conditional coordinate as the complement of the other,
 so the pair sums to 1 exactly and min(p0, p1) <= 1/2 holds in floating point.
@@ -8,13 +10,17 @@ so the pair sums to 1 exactly and min(p0, p1) <= 1/2 holds in floating point.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 
 import numpy as np
 
 from .core import Predictor, Symbol, Word, validate_symbol
 
 MAX_MIXTURE_ORDER = 16
+
+
+def _last(code: int, k: int) -> int:
+    """The code of the last k symbols of a coded word (all of it if shorter)."""
+    return code if code < 2 << k else (1 << k) | (code & ((1 << k) - 1))
 
 
 class UniformPredictor(Predictor):
@@ -28,13 +34,6 @@ class UniformPredictor(Predictor):
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-
-    def conditional(self, past: Word) -> tuple[float, float]:
-        return (0.5, 0.5)
-
-
-def uniform_predictor() -> UniformPredictor:
-    return UniformPredictor()
 
 
 class KTPredictor(Predictor):
@@ -62,41 +61,14 @@ class KTPredictor(Predictor):
         return (1.0 - p1, p1)
 
 
-def kt_predictor() -> KTPredictor:
-    return KTPredictor()
-
-
-class _ContextKT:
-    """Order-k KT component: per-context add-half counts with log2 joint.
-
-    For pasts shorter than k the context is the entire available past, so the
-    component is a proper measure from the first symbol on.
-    """
-
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.counts: dict[Word, list[int]] = defaultdict(lambda: [0, 0])
-        self.recent: list[int] = []  # last <= order symbols
-        self.log2_joint = 0.0
-
-    def _context(self) -> Word:
-        return tuple(self.recent)
-
-    def predict1(self) -> float:
-        n0, n1 = self.counts[self._context()]
-        return (n1 + 0.5) / (n0 + n1 + 1)
-
-    def observe(self, symbol: int) -> None:
-        p1 = self.predict1()
-        self.log2_joint += math.log2(p1 if symbol else 1.0 - p1)
-        self.counts[self._context()][symbol] += 1
-        self.recent.append(symbol)
-        if len(self.recent) > self.order:
-            self.recent.pop(0)
-
-
 class FiniteOrderMixture(Predictor):
     """Bayesian mixture of order-0..K context KT estimators.
+
+    The order-k component is a KT estimator per context, the context being
+    the last k symbols, or the whole past while it is shorter than k, so
+    every component is a proper measure from the first symbol on.  A context
+    is coded as an integer: its symbols under a leading marker bit, so
+    contexts of different lengths get different codes below 2^(k+1).
 
     The mixture joint is sum_k w_k mu_k(y); conditionals are ratios of
     consecutive joints, i.e. posterior-weighted component conditionals.  The
@@ -104,7 +76,7 @@ class FiniteOrderMixture(Predictor):
     exceeds a component's cumulative loss plus -log2 w_k.
     """
 
-    def __init__(self, max_order: int, weights=None) -> None:
+    def __init__(self, max_order: int) -> None:
         if max_order < 0:
             raise ValueError("max_order must be >= 0")
         if max_order > MAX_MIXTURE_ORDER:
@@ -112,52 +84,52 @@ class FiniteOrderMixture(Predictor):
                 f"max_order {max_order} refused: context tables explode past "
                 f"{MAX_MIXTURE_ORDER}"
             )
-        if weights is None:
-            raw = [2.0 ** (-k) for k in range(max_order + 1)]
-        else:
-            raw = [float(w) for w in weights]
-            if len(raw) != max_order + 1:
-                raise ValueError("need one weight per order 0..K")
-            if any(w <= 0.0 for w in raw):
-                raise ValueError("weights must be positive")
+        raw = [2.0 ** (-k) for k in range(max_order + 1)]
         total = math.fsum(raw)
         self.max_order = max_order
         self.log2_weights = [math.log2(w / total) for w in raw]
-        self.components = [_ContextKT(k) for k in range(max_order + 1)]
+        #: log2 of each component's probability of the observed past
+        self.log2_joints = [0.0] * (max_order + 1)
+        # counts[k][2 c + s]: how often s followed the order-k context coded c
+        self._counts = [[0] * (4 << k) for k in range(max_order + 1)]
+        self._contexts = [1] * (max_order + 1)  # all empty
+        self._p1: list[float] | None = None  # component P(next=1), this step
 
     def fresh(self) -> "FiniteOrderMixture":
-        m = FiniteOrderMixture(self.max_order)
-        m.log2_weights = list(self.log2_weights)
-        m.components = [_ContextKT(k) for k in range(self.max_order + 1)]
-        return m
+        return FiniteOrderMixture(self.max_order)
 
-    def _posterior(self) -> np.ndarray:
-        a = np.array(
-            [lw + c.log2_joint for lw, c in zip(self.log2_weights, self.components)]
+    def _component_p1(self) -> list[float]:
+        if self._p1 is None:
+            self._p1 = []
+            for counts, c in zip(self._counts, self._contexts):
+                n0, n1 = counts[2 * c], counts[2 * c + 1]
+                self._p1.append((n1 + 0.5) / (n0 + n1 + 1))
+        return self._p1
+
+    def _log2_terms(self) -> np.ndarray:
+        """log2 w_k + log2 mu_k(past), one entry per order."""
+        return np.array(
+            [lw + lj for lw, lj in zip(self.log2_weights, self.log2_joints)]
         )
-        a -= a.max()
-        g = np.exp2(a)
-        return g / g.sum()
 
     def predict(self) -> tuple[float, float]:
-        post = self._posterior()
-        p1 = float(np.dot(post, [c.predict1() for c in self.components]))
+        a = self._log2_terms()
+        a -= a.max()
+        g = np.exp2(a)
+        p1 = float(np.dot(g / g.sum(), self._component_p1()))
         p1 = min(max(p1, 0.0), 1.0)
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        for c in self.components:
-            c.observe(symbol)
+        for k, (p1, c) in enumerate(zip(self._component_p1(), self._contexts)):
+            self.log2_joints[k] += math.log2(p1 if symbol else 1.0 - p1)
+            self._counts[k][2 * c + symbol] += 1
+            self._contexts[k] = _last(c << 1 | symbol, k)
+        self._p1 = None
 
     def log2_joint(self) -> float:
         """log2 of the mixture probability of the observed past."""
-        a = np.array(
-            [lw + c.log2_joint for lw, c in zip(self.log2_weights, self.components)]
-        )
+        a = self._log2_terms()
         m = float(a.max())
         return m + math.log2(float(np.exp2(a - m).sum()))
-
-
-def finite_order_mixture(max_order: int, weights=None) -> FiniteOrderMixture:
-    return FiniteOrderMixture(max_order, weights)

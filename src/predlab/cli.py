@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, chain, loss
-from .baselines import finite_order_mixture, kt_predictor, uniform_predictor
+from .baselines import FiniteOrderMixture, KTPredictor, UniformPredictor
 from .core import (
     ChampernowneSource,
     CoinFlipSource,
@@ -63,11 +63,11 @@ def parse_source_spec(spec: str) -> SequenceSource:
 def parse_predictor_spec(spec: str, trunc: int = 10_000) -> Predictor:
     kind, _, rest = spec.partition(":")
     if kind == "uniform" and not rest:
-        return uniform_predictor()
+        return UniformPredictor()
     if kind == "kt" and not rest:
-        return kt_predictor()
+        return KTPredictor()
     if kind == "mix":
-        return finite_order_mixture(int(rest))
+        return FiniteOrderMixture(int(rest))
     if kind == "mux":
         return MuX(parse_source_spec(rest), ChainSpec(trunc)).predictor()
     if kind == "dirac":
@@ -172,7 +172,7 @@ def _cmd_loss(args) -> int:
         "cesaro_kl_final": float(trace.cesaro_kl[-1]),
         "cesaro_abs_final": float(trace.cesaro_abs[-1]),
         "cesaro_sq_final": float(trace.cesaro_sq[-1]),
-        "kl_liminf_proxy": trace.liminf_proxy("kl"),
+        "kl_liminf_proxy": trace.liminf_proxy(),
     }
     _dump_json(summary, out_dir / "summary.json")
     sys.stdout.write(_dump_json(summary, None))

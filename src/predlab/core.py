@@ -200,9 +200,10 @@ class PeriodicSource(SequenceSource):
         return self.pattern[(t - 1) % len(self.pattern)]
 
     def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
         base = np.asarray(self.pattern, dtype=np.uint8)
-        reps = -(-n // len(base)) if n else 0
-        return np.tile(base, max(reps, 1))[:n].copy()
+        return np.tile(base, -(-n // len(base)))[:n].copy()
 
 
 class ChampernowneSource(SequenceSource):
@@ -242,32 +243,55 @@ class ChampernowneSource(SequenceSource):
 
 
 class CoinFlipSource(SequenceSource):
-    """Deterministic pseudorandom bits from a 64-bit seeded PCG64 stream."""
+    """Deterministic pseudorandom bits from a 64-bit seeded PCG64 stream.
+
+    The stream comes in blocks of 2^16 symbols, each drawn from 8192 raw
+    64-bit outputs (8 symbols per output), so block b starts 8192 b outputs
+    into the stream.  ``prefix_array`` extends a cached prefix sequentially;
+    ``symbol_at`` past that prefix draws only the block holding its index,
+    from a generator advanced to the block start, so a far index costs one
+    block, not the whole prefix.
+    """
 
     _BLOCK = 1 << 16
+    _BLOCK_DRAWS = _BLOCK // 8
+    _FAR_BLOCKS = 16  # far blocks kept, at most 1 MiB
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self.spec = f"coin:{self.seed}"
         self._rng = np.random.default_rng(self.seed)
         self._cache = np.empty(0, dtype=np.uint8)
+        self._far: dict[int, np.ndarray] = {}
 
-    def _ensure(self, n: int) -> None:
+    def _far_block(self, b: int) -> np.ndarray:
+        block = self._far.get(b)
+        if block is None:
+            if len(self._far) >= self._FAR_BLOCKS:
+                del self._far[next(iter(self._far))]  # the oldest
+            bits = np.random.PCG64(self.seed).advance(self._BLOCK_DRAWS * b)
+            block = np.random.Generator(bits).integers(
+                0, 2, size=self._BLOCK, dtype=np.uint8)
+            self._far[b] = block
+        return block
+
+    def symbol_at(self, t: int) -> Symbol:
+        if t < 1:
+            raise ValueError("t must be >= 1")
+        if t <= len(self._cache):
+            return int(self._cache[t - 1])
+        b, i = divmod(t - 1, self._BLOCK)
+        return int(self._far_block(b)[i])
+
+    def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
         # the missing whole blocks in one draw: the same stream as drawing
         # them one at a time, without one concatenation per block
         blocks = -(-(n - len(self._cache)) // self._BLOCK)
         if blocks > 0:
             more = self._rng.integers(0, 2, size=blocks * self._BLOCK, dtype=np.uint8)
             self._cache = np.concatenate([self._cache, more])
-
-    def symbol_at(self, t: int) -> Symbol:
-        if t < 1:
-            raise ValueError("t must be >= 1")
-        self._ensure(t)
-        return int(self._cache[t - 1])
-
-    def prefix_array(self, n: int) -> np.ndarray:
-        self._ensure(n)
         return self._cache[:n].copy()
 
 
@@ -298,6 +322,8 @@ class FileSource(SequenceSource):
         return int(self._bits[t - 1])
 
     def prefix_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise ValueError("prefix length must be >= 0")
         if n > len(self._bits):
             raise SourceExhaustedError(
                 f"source exhausted: {self.path} holds {len(self._bits)} symbols, "

@@ -69,13 +69,11 @@ class LossTrace:
     def cesaro_sq(self) -> np.ndarray:
         return np.cumsum(self.sq_loss) / self.steps
 
-    def liminf_proxy(self, metric: str = "kl") -> float:
-        """Minimum Cesaro average over the tail window [n/2, n]: a
+    def liminf_proxy(self) -> float:
+        """Minimum Cesaro KL average over the tail window [n/2, n]: a
         monotone-safe finite-horizon upper estimate of the limit inferior."""
-        cesaro = {"kl": self.cesaro_kl, "abs": self.cesaro_abs,
-                  "sq": self.cesaro_sq}[metric]
         start = max(len(self) // 2, 1)
-        return float(np.min(cesaro[start - 1:]))
+        return float(np.min(self.cesaro_kl[start - 1:]))
 
     def to_csv(self, path) -> None:
         _write_csv(path, CSV_COLUMNS, [

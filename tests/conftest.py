@@ -5,12 +5,12 @@ from predlab import (
     ChainSpec,
     ChampernowneSource,
     CoinFlipSource,
+    FiniteOrderMixture,
+    KTPredictor,
     MuX,
     PeriodicSource,
     Predictor,
-    finite_order_mixture,
-    kt_predictor,
-    uniform_predictor,
+    UniformPredictor,
 )
 
 
@@ -47,9 +47,9 @@ def corpus_sources():
 def predictor_battery(trunc: int = 2000):
     """Named predictors exercised by contract and adversary tests."""
     return {
-        "uniform": uniform_predictor(),
-        "kt": kt_predictor(),
-        "mix:3": finite_order_mixture(3),
+        "uniform": UniformPredictor(),
+        "kt": KTPredictor(),
+        "mix:3": FiniteOrderMixture(3),
         "mux:periodic:01": MuX(PeriodicSource("01"), ChainSpec(trunc)).predictor(),
         "momentum": MomentumPredictor(),
     }

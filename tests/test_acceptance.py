@@ -11,19 +11,19 @@ from predlab import (
     PI1,
     ChainSpec,
     CoinFlipSource,
+    FiniteOrderMixture,
+    KTPredictor,
     MuX,
     PeriodicSource,
+    UniformPredictor,
     adversarial_sequence,
     brute_force_marginal,
     dirac_kl,
-    finite_order_mixture,
-    kt_predictor,
     mean_return_time,
     return_prob_partial_sum,
     stationary_weight,
     stationarity_window_check,
     theorem1_experiment,
-    uniform_predictor,
 )
 from predlab.cli import parse_predictor_spec, parse_source_spec
 
@@ -123,9 +123,9 @@ def test_criterion_7_property_suites():
 
     # predictor normalization across the battery on random pasts
     battery = {
-        "uniform": uniform_predictor(),
-        "kt": kt_predictor(),
-        "mix:3": finite_order_mixture(3),
+        "uniform": UniformPredictor(),
+        "kt": KTPredictor(),
+        "mix:3": FiniteOrderMixture(3),
         "mux:periodic:01": MuX(PeriodicSource("01"), ChainSpec(1000)).predictor(),
     }
     for _ in range(25):
@@ -137,7 +137,7 @@ def test_criterion_7_property_suites():
     # chain-rule identity at the stated tolerance
     src = PeriodicSource("0110")
     n = 1000
-    trace = dirac_kl(src, kt_predictor(), n)
+    trace = dirac_kl(src, KTPredictor(), n)
     zeros = sum(1 - s for s in src.prefix(n))
     ones = n - zeros
     log2_joint = (
@@ -159,11 +159,11 @@ def test_criterion_7_property_suites():
     assert bf <= fine.upper_prob + 1e-15
 
     # mixture dominance
-    mix = finite_order_mixture(3)
+    mix = FiniteOrderMixture(3)
     for t in range(1, 301):
         mix.observe(src.symbol_at(t))
-    for k, comp in enumerate(mix.components):
-        assert -mix.log2_joint() <= -comp.log2_joint - mix.log2_weights[k] + 1e-9
+    for k, comp_log2_joint in enumerate(mix.log2_joints):
+        assert -mix.log2_joint() <= -comp_log2_joint - mix.log2_weights[k] + 1e-9
 
     # adversary determinism: bit-identical sequences across runs
     for name, pred in battery.items():

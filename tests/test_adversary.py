@@ -6,21 +6,21 @@ import pytest
 from predlab import (
     AdversarialSource,
     ChainSpec,
+    KTPredictor,
     MuX,
     PeriodicSource,
+    UniformPredictor,
     adversarial_sequence,
     format_bits,
-    kt_predictor,
     log_loss_bound,
     theorem1_experiment,
-    uniform_predictor,
 )
 
 from conftest import MomentumPredictor, predictor_battery
 
 
 def test_uniform_target_gives_all_zeros():
-    x = adversarial_sequence(uniform_predictor(), 64)
+    x = adversarial_sequence(UniformPredictor(), 64)
     assert not x.any()
 
 
@@ -39,7 +39,7 @@ def test_momentum_target_hand_simulated():
 
 
 def test_kt_target_picks_minority_and_prefix_pinned():
-    source = AdversarialSource(kt_predictor())
+    source = AdversarialSource(KTPredictor())
     x = source.prefix_array(5)
     assert format_bits(x) == "01010"  # regression anchor from one run
     # each pick is the minority symbol of the past (ties -> 0)
@@ -65,14 +65,14 @@ def test_adversarial_sequence_deterministic():
 
 
 def test_lazy_extension_is_consistent():
-    source = AdversarialSource(kt_predictor())
+    source = AdversarialSource(KTPredictor())
     head = source.prefix_array(20)
     source.symbol_at(600)  # force deep extension
     assert np.array_equal(source.prefix_array(20), head)
 
 
 def test_theorem1_uniform_run():
-    run = theorem1_experiment(uniform_predictor(), 200, trunc=2000,
+    run = theorem1_experiment(UniformPredictor(), 200, trunc=2000,
                               predictor_spec="uniform")
     assert float(run.rho_trace.cesaro_kl[-1]) == 1.0
     assert (run.rho_trace.kl_bits == 1.0).all()
@@ -86,7 +86,7 @@ def test_theorem1_uniform_run():
 
 
 def test_theorem1_invariants_for_kt():
-    run = theorem1_experiment(kt_predictor(), 300, trunc=2000, predictor_spec="kt")
+    run = theorem1_experiment(KTPredictor(), 300, trunc=2000, predictor_spec="kt")
     assert (run.rho_trace.kl_bits >= 1.0).all()
     assert (run.rho_trace.cesaro_kl >= 1.0).all()
     cum = run.mux_trace.cum_kl_bits
@@ -109,4 +109,4 @@ def test_theorem1_tracking_target_stays_scoreable():
 
 def test_theorem1_rejects_bad_horizon():
     with pytest.raises(ValueError):
-        theorem1_experiment(uniform_predictor(), 0)
+        theorem1_experiment(UniformPredictor(), 0)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,13 @@ from hypothesis import strategies as st
 
 from predlab import (
     CoinFlipSource,
+    FiniteOrderMixture,
+    KTPredictor,
     PeriodicSource,
+    UniformPredictor,
     adversarial_sequence,
     dirac_kl,
-    finite_order_mixture,
-    kt_predictor,
-    uniform_predictor,
+    format_bits,
 )
 
 from conftest import predictor_battery
@@ -20,22 +23,22 @@ pasts = st.lists(st.integers(0, 1), max_size=25).map(tuple)
 
 
 def test_uniform_everywhere():
-    pred = uniform_predictor()
+    pred = UniformPredictor()
     assert pred.conditional(()) == (0.5, 0.5)
     assert pred.conditional((1, 0, 1)) == (0.5, 0.5)
 
 
 def test_uniform_loss_is_horizon():
-    trace = dirac_kl(CoinFlipSource(3), uniform_predictor(), 64)
+    trace = dirac_kl(CoinFlipSource(3), UniformPredictor(), 64)
     assert float(trace.cum_kl_bits[-1]) == 64.0
 
 
 def test_uniform_adversary_is_all_zeros():
-    assert not adversarial_sequence(uniform_predictor(), 32).any()
+    assert not adversarial_sequence(UniformPredictor(), 32).any()
 
 
 def test_kt_examples():
-    pred = kt_predictor()
+    pred = KTPredictor()
     assert pred.conditional(()) == (0.5, 0.5)
     assert pred.conditional((1, 1, 1))[1] == pytest.approx(0.875, rel=1e-15)
 
@@ -46,7 +49,7 @@ def test_kt_cumulative_on_zeros():
     product = 1.0
     for t in range(1, n + 1):
         product *= (t - 0.5) / t
-    trace = dirac_kl(PeriodicSource("0"), kt_predictor(), n)
+    trace = dirac_kl(PeriodicSource("0"), KTPredictor(), n)
     assert float(trace.cum_kl_bits[-1]) == pytest.approx(-math.log2(product), abs=1e-12)
     assert float(trace.cum_kl_bits[-1]) == pytest.approx(2.3482755668919357, abs=1e-12)
 
@@ -54,7 +57,7 @@ def test_kt_cumulative_on_zeros():
 @given(pasts)
 @settings(max_examples=50)
 def test_kt_stateless_matches_incremental(past):
-    pred = kt_predictor()
+    pred = KTPredictor()
     inc = pred.fresh()
     for s in past:
         inc.observe(s)
@@ -64,13 +67,13 @@ def test_kt_stateless_matches_incremental(past):
 @given(pasts)
 @settings(max_examples=50)
 def test_mixture_order_zero_is_kt(past):
-    mix = finite_order_mixture(0)
-    assert mix.conditional(past) == kt_predictor().conditional(past)
+    mix = FiniteOrderMixture(0)
+    assert mix.conditional(past) == KTPredictor().conditional(past)
 
 
 def test_mixture_learns_alternation():
     src = PeriodicSource("01")
-    trace = dirac_kl(src, finite_order_mixture(2), 1000)
+    trace = dirac_kl(src, FiniteOrderMixture(2), 1000)
     assert float(trace.cesaro_kl[-1]) < 0.05
 
 
@@ -78,32 +81,79 @@ def test_mixture_dominance():
     # cumulative mixture loss <= any component's loss plus its weight cost
     for src in (PeriodicSource("01"), CoinFlipSource(2), PeriodicSource("0")):
         for n in (50, 300):
-            mix = finite_order_mixture(3)
+            mix = FiniteOrderMixture(3)
             for t in range(1, n + 1):
                 mix.observe(src.symbol_at(t))
             mix_loss = -mix.log2_joint()
-            for k, comp in enumerate(mix.components):
-                comp_loss = -comp.log2_joint
+            for k, comp_log2_joint in enumerate(mix.log2_joints):
+                comp_loss = -comp_log2_joint
                 assert mix_loss <= comp_loss - mix.log2_weights[k] + 1e-9
+
+
+def _exact_mixture(max_order, past):
+    """The mixture's and each order's probability of ``past`` as fractions:
+    products of KT add-half conditionals per context (the last k symbols, or
+    the whole past while shorter), mixed under the prior 2^-k normalised."""
+    joints = []
+    for k in range(max_order + 1):
+        counts = {}
+        p = Fraction(1)
+        for t, s in enumerate(past):
+            n = counts.setdefault(past[max(t - k, 0):t], [0, 0])
+            p *= Fraction(2 * n[s] + 1, 2 * (n[0] + n[1] + 1))
+            n[s] += 1
+        joints.append(p)
+    prior = [Fraction(1, 2**k) for k in range(max_order + 1)]
+    mix = sum(w * j for w, j in zip(prior, joints)) / sum(prior)
+    return mix, joints
+
+
+@given(st.integers(0, 5), st.lists(st.integers(0, 1), max_size=24).map(tuple))
+@settings(max_examples=80, deadline=None)
+def test_mixture_matches_exact_rational_oracle(max_order, past):
+    mix = FiniteOrderMixture(max_order)
+    for s in past:
+        mix.observe(s)
+    exact, joints = _exact_mixture(max_order, past)
+    p1 = _exact_mixture(max_order, past + (1,))[0] / exact
+    assert mix.predict() == (pytest.approx(float(1 - p1), rel=1e-12),
+                             pytest.approx(float(p1), rel=1e-12))
+    assert mix.log2_joint() == pytest.approx(math.log2(exact), rel=1e-12)
+    for k, joint in enumerate(joints):
+        assert mix.log2_joints[k] == pytest.approx(math.log2(joint), rel=1e-12)
+
+
+# SHA-256 of the first 500 adversarial symbols against mix:K, K = 0..5
+MIXTURE_ADVERSARY_SHA256 = [
+    "20374d6634c1bec377a751dbfe78e44aab0ceb4d189c3d9d84f118c9decae33e",
+    "76e745c48a0620f62fad669d5ff768b83b642e09c4038a4179d4418936085bb3",
+    "bf81d08bbce8b999ac16730d9d81af758a2fcb645749b7ded6213c7867cccd3a",
+    "12a809a99975c1d5cf14dec7cf868e347826a4339ae949fde27fb06783a5467f",
+    "5abbb8d806fb1baf0bab3872ff05ad49fe5caa286692ceb524b2676f039a2dc5",
+    "c43e192900d78edaa038c21233061e4a0586fb778f503667e4de46cce146ee4b",
+]
+
+
+@pytest.mark.parametrize("max_order", range(6))
+def test_mixture_adversary_is_pinned(max_order):
+    x = format_bits(adversarial_sequence(FiniteOrderMixture(max_order), 500))
+    digest = hashlib.sha256(x.encode()).hexdigest()
+    assert digest == MIXTURE_ADVERSARY_SHA256[max_order]
 
 
 def test_mixture_refuses_large_order():
     with pytest.raises(ValueError):
-        finite_order_mixture(17)
-    with pytest.raises(ValueError):
-        finite_order_mixture(2, weights=[1.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
-        finite_order_mixture(2, weights=[1.0, 1.0])
+        FiniteOrderMixture(17)
 
 
 def test_mixture_short_past_falls_back_to_full_context():
     # pasts shorter than the order use the whole past as context, so the
     # order-2 component already discriminates after one symbol
-    mix = finite_order_mixture(2)
+    mix = FiniteOrderMixture(2)
     p_after_one = mix.conditional((1,))
     assert p_after_one[1] > 0.5  # the order-0 component has seen the 1
     # with no observations every component is uniform
-    assert finite_order_mixture(2).conditional(())[0] == pytest.approx(0.5, abs=1e-12)
+    assert FiniteOrderMixture(2).conditional(())[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @given(pasts)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from predlab import (
     IMPOSSIBLE,
+    AdversarialSource,
     ChampernowneSource,
     CoinFlipSource,
     DiracPredictor,
     FileSource,
+    KTPredictor,
     LogInterval,
     PeriodicSource,
     SourceExhaustedError,
@@ -153,6 +155,45 @@ def test_coin_flip_draws_missing_blocks_as_one_stream():
             assert np.array_equal(src.prefix_array(n), ref[:n])
         assert np.array_equal(CoinFlipSource(seed).prefix_array(3 * block + 5),
                               ref[:3 * block + 5])
+
+
+def test_coin_flip_far_blocks_match_the_stream():
+    # symbol_at past the cached prefix draws its block from a generator
+    # advanced to the block start; it must read the sequential stream
+    block = CoinFlipSource._BLOCK
+    for seed in (0, 1, 5):
+        ref = CoinFlipSource(seed).prefix_array(6 * block)
+        src = CoinFlipSource(seed)
+        for t in (6 * block, 5 * block + 1, 1, block, block + 1, 4 * block + 77,
+                  2 * block, 2 * block + 1, 3 * block - 1):
+            assert src.symbol_at(t) == ref[t - 1], (seed, t)
+        # far reads leave the sequential stream untouched
+        assert np.array_equal(src.prefix_array(6 * block), ref)
+        assert src.symbol_at(6 * block) == ref[-1]
+    src = CoinFlipSource(5)
+    for b in range(3 * CoinFlipSource._FAR_BLOCKS):
+        src.symbol_at(b * block + 1)
+    assert len(src._far) <= CoinFlipSource._FAR_BLOCKS
+    assert np.array_equal(
+        [src.symbol_at(b * block + 1) for b in range(6)], ref[::block])
+
+
+@pytest.mark.parametrize("kind", ["periodic", "champernowne", "coin", "file",
+                                  "adversarial"])
+def test_prefix_array_rejects_negative_length(kind, tmp_path):
+    path = tmp_path / "bits.txt"
+    path.write_text("0110\n", encoding="ascii")
+    src = {
+        "periodic": lambda: PeriodicSource("01"),
+        "champernowne": ChampernowneSource,
+        "coin": lambda: CoinFlipSource(1),
+        "file": lambda: FileSource(path),
+        "adversarial": lambda: AdversarialSource(KTPredictor()),
+    }[kind]()
+    src.prefix_array(3)  # a cached prefix must not answer a negative length
+    with pytest.raises(ValueError, match="prefix length"):
+        src.prefix_array(-1)
+    assert len(src.prefix_array(0)) == 0
 
 
 def test_coin_flip_regression_anchor():

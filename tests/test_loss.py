@@ -10,17 +10,17 @@ from predlab import (
     ChainSpec,
     DiracMeasure,
     DiracPredictor,
+    FiniteOrderMixture,
+    KTPredictor,
     LossTrace,
     MuX,
     PeriodicSource,
+    UniformPredictor,
     check_pinsker,
     dirac_kl,
     expected_kl,
-    kt_predictor,
-    finite_order_mixture,
     pinsker_abs_bound,
     stationarity_window_check,
-    uniform_predictor,
     window_distribution,
     word_frequency,
 )
@@ -34,7 +34,7 @@ from predlab.loss import (
 
 
 def test_uniform_coin_costs_one_bit_per_step():
-    trace = dirac_kl(PeriodicSource("01"), uniform_predictor(), 100)
+    trace = dirac_kl(PeriodicSource("01"), UniformPredictor(), 100)
     assert float(trace.cum_kl_bits[-1]) == 100.0
     assert (trace.cesaro_kl == 1.0).all()
 
@@ -63,7 +63,7 @@ def test_chain_rule_against_kt_closed_form():
     # prod_{i<a}(i+1/2) * prod_{i<b}(i+1/2) / prod_{t<a+b}(t+1)
     src = PeriodicSource("0110")
     n = 1000
-    trace = dirac_kl(src, kt_predictor(), n)
+    trace = dirac_kl(src, KTPredictor(), n)
     a = sum(1 - s for s in src.prefix(n))
     b = n - a
     log2_joint = (
@@ -77,7 +77,7 @@ def test_chain_rule_against_kt_closed_form():
 def test_chain_rule_against_mixture_joint():
     src = PeriodicSource("01")
     n = 300
-    mix = finite_order_mixture(2)
+    mix = FiniteOrderMixture(2)
     trace = dirac_kl(src, mix, n)
     replay = mix.fresh()
     for t in range(1, n + 1):
@@ -98,7 +98,7 @@ def test_chain_rule_against_forward_mass():
 
 
 def test_other_losses_uniform():
-    trace = dirac_kl(PeriodicSource("10"), uniform_predictor(), 40)
+    trace = dirac_kl(PeriodicSource("10"), UniformPredictor(), 40)
     assert (trace.abs_loss == 0.5).all()
     assert (trace.sq_loss == 0.5).all()
     assert trace.cesaro_abs[-1] == 0.5
@@ -112,7 +112,7 @@ def test_absolute_loss_shrinks_with_tracking():
 
 def test_loss_ranges_and_monotone_cumulative():
     src = PeriodicSource("0")
-    for rho in (uniform_predictor(), kt_predictor(), finite_order_mixture(2)):
+    for rho in (UniformPredictor(), KTPredictor(), FiniteOrderMixture(2)):
         trace = dirac_kl(src, rho, 200)
         assert (trace.kl_bits >= 0.0).all()
         assert ((trace.abs_loss >= 0.0) & (trace.abs_loss <= 1.0)).all()
@@ -123,8 +123,8 @@ def test_loss_ranges_and_monotone_cumulative():
 def test_pinsker_corollary_on_traces():
     src = PeriodicSource("01")
     for rho in (
-        uniform_predictor(),
-        kt_predictor(),
+        UniformPredictor(),
+        KTPredictor(),
         MuX(src, ChainSpec(2000)).predictor(),
     ):
         assert check_pinsker(dirac_kl(src, rho, 300))
@@ -141,14 +141,14 @@ def test_pinsker_bound_is_elementwise_and_check_can_fail():
 
 def test_liminf_proxy_is_tail_window_minimum():
     trace = trace_from_realized_probs(np.linspace(0.3, 0.9, 20))
-    proxy = trace.liminf_proxy("kl")
+    proxy = trace.liminf_proxy()
     window = trace.cesaro_kl[9:]
     assert proxy == pytest.approx(float(window.min()), rel=1e-15)
     assert (proxy <= window + 1e-15).all()
 
 
 def test_csv_format(tmp_path):
-    trace = dirac_kl(PeriodicSource("01"), kt_predictor(), 10)
+    trace = dirac_kl(PeriodicSource("01"), KTPredictor(), 10)
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     with path.open(encoding="utf-8") as f:
@@ -205,8 +205,8 @@ def test_expected_kl_identical_measures():
 def test_expected_kl_dirac_reduces_exactly():
     src = PeriodicSource("011")
     measure = DiracMeasure(src)
-    est, se = expected_kl(measure, kt_predictor(), n=40, num_samples=5, seed=2)
-    trace = dirac_kl(src, kt_predictor(), 40)
+    est, se = expected_kl(measure, KTPredictor(), n=40, num_samples=5, seed=2)
+    trace = dirac_kl(src, KTPredictor(), 40)
     assert est == float(trace.cum_kl_bits[-1])
     assert se == 0.0
 
@@ -216,7 +216,7 @@ def test_expected_kl_against_enumeration():
     # measure's own word probability (product of its conditionals)
     n = 8
     mux = MuX(PeriodicSource("01"), ChainSpec(500))
-    rho = uniform_predictor()
+    rho = UniformPredictor()
     total = 0.0
     for idx in range(1 << n):
         bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
@@ -245,7 +245,7 @@ def test_expected_kl_against_enumeration():
 
 def test_expected_kl_nonnegative_for_distinct_measures():
     mux = MuX(PeriodicSource("01"), ChainSpec(500))
-    est, se = expected_kl(mux, kt_predictor(), n=20, num_samples=50, seed=4)
+    est, se = expected_kl(mux, KTPredictor(), n=20, num_samples=50, seed=4)
     assert est >= -3.0 * se
 
 

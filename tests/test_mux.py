@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -24,7 +25,7 @@ from predlab import (
     stationarity_window_check,
     word_frequency,
 )
-from predlab.cli import parse_source_spec
+from predlab.cli import main, parse_source_spec
 from predlab.mux import ForwardState, _as_range
 
 from conftest import corpus_sources
@@ -270,9 +271,11 @@ def test_stationarity_windows():
         assert abs(fa - fb) <= 3.0 * se + 1e-12, word
 
 
-def test_sample_trajectory_reads_large_states_through_symbol_at(monkeypatch, tmp_path):
+def test_sample_trajectory_reads_large_states_through_symbol_at(monkeypatch, tmp_path,
+                                                               capsys):
     # only the first run climbs above n; a start at 2^40 must be read state
-    # by state, never as a 2^40-symbol prefix
+    # by state, never as a 2^40-symbol prefix (a coin source draws only the
+    # block that holds the state)
     from predlab import chain, mux as mux_module
 
     def start_at(j0):
@@ -286,10 +289,15 @@ def test_sample_trajectory_reads_large_states_through_symbol_at(monkeypatch, tmp
         assert states.max() > n
         tracemalloc.start()
         try:
-            for spec in ("periodic:011", "champernowne"):
+            for spec in ("periodic:011", "champernowne", "coin:5"):
                 src = parse_source_spec(spec)
                 traj = MuX(src).sample_trajectory(n, seed)
                 assert [int(b) for b in traj] == [src.symbol_at(int(j)) for j in states]
+            capsys.readouterr()
+            assert main(["ergodicity", "--target", "coin:5", "-n", str(n),
+                         "--seed", str(seed)]) == 0
+            freq_1 = json.loads(capsys.readouterr().out)["freq_1"]
+            assert freq_1 == float(np.mean(traj))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

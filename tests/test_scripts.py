@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -7,14 +8,45 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+# the benchmark's traced run rebinds predlab's entry points by name
+TRACED_THEOREM1 = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from predlab import cli
+tracer = tracing.Tracer()
+tracer.install()
+code = cli.main(["theorem1", "--rho", "mix:3", "-n", "20", "--trunc", "200",
+                 "--out", sys.argv[2]])
+calls = {name: n for name, (n, _) in tracer.self_times().items()}
+print(json.dumps({"code": code, "calls": calls}))
+"""
+
+
+def test_traced_benchmark_still_wraps_the_baselines(tmp_path):
+    # -B: no bytecode is written next to the benchmark's sources
+    proc = run_python("-B", "-c", TRACED_THEOREM1, str(ROOT / "perfbench"),
+                      str(tmp_path / "run"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["calls"]["cli.main"] == 1
+    assert result["calls"]["baselines.predict"] > 0
+    assert result["calls"]["baselines.observe"] > 0
 
 
 def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
