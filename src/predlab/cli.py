@@ -42,6 +42,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+#: the ergodicity command's stationarity window check, as run and as recorded
+_WINDOW_CHECK = {"k": 3, "offset_a": 1, "offset_b": 50, "stride": 100}
+
 
 class NumericBudgetError(RuntimeError):
     """An enclosure exceeded the configured width budget."""
@@ -228,7 +231,7 @@ def _cmd_ergodicity(args) -> int:
             for word in itertools.product((0, 1), repeat=k):
                 word_freqs[format_bits(word)] = dist.get(word, 0.0)
     try:
-        windows = loss.stationarity_window_check(traj, k=3, offset_a=1, offset_b=50)
+        windows = loss.stationarity_window_check(traj, **_WINDOW_CHECK)
     except ValueError:  # a run too short for a window at either offset
         max_z = None
     else:
@@ -241,8 +244,7 @@ def _cmd_ergodicity(args) -> int:
         "freq_0": 1.0 - freq_1,
         "freq_1": freq_1,
         "word_freqs": word_freqs,
-        "window_check": {"k": 3, "offset_a": 1, "offset_b": 50,
-                         "stride": 100, "max_abs_z": max_z},
+        "window_check": {**_WINDOW_CHECK, "max_abs_z": max_z},
     }
     sys.stdout.write(_dump_json(payload, Path(args.out) if args.out else None))
     return EXIT_OK

@@ -60,10 +60,11 @@ def format_bits(word) -> str:
 
 
 def log2_prob(p: float) -> float:
-    """Probability -> log2, mapping 0 to IMPOSSIBLE."""
+    """Probability -> log2, mapping 0 to IMPOSSIBLE and a p rounded just
+    past 1 (within 1e-12) to 0."""
     if p < 0.0 or p > 1.0 + 1e-12:
         raise ValueError(f"not a probability: {p!r}")
-    return math.log2(p) if p > 0.0 else IMPOSSIBLE
+    return min(0.0, math.log2(p)) if p > 0.0 else IMPOSSIBLE
 
 
 def prob(log2_p: float) -> float:

@@ -109,7 +109,7 @@ def trace_from_realized_probs(probs) -> LossTrace:
     assigned to the realized symbols."""
     p = np.asarray(probs, dtype=np.float64)
     with np.errstate(divide="ignore"):
-        kl = np.where(p > 0.0, -np.log2(np.maximum(p, 1e-323)), np.inf)
+        kl = np.where(p > 0.0, -np.log2(p), np.inf)
     kl = kl + 0.0  # fold -0.0 to +0.0
     miss = 1.0 - p
     return LossTrace(kl_bits=kl, abs_loss=miss, sq_loss=2.0 * miss * miss)

@@ -10,23 +10,23 @@ Numerics.  Word marginals come from a forward recursion over initial states
 1..J that keeps only the alive states (emissions matched so far), in two
 blocks.  Along a path that never resets the weights telescope,
 pi1/j^2 * prod_{i=j}^{m-1} i^2/(i+1)^2 = pi1/m^2, so the *never-reset block*
-stores only its origins, the initial states j that still match; the weight
-of the path from j is read from the stationary-weight table at its current
-state.  While the surviving origins are evenly spaced (every state on an
-all-zeros target, every other one on an alternating target) they are a
-strided range, and a step on them is a strided dot product for the reset
-inflow, a strided sum and a count over the emissions, with no array the
-size of the alive set written; otherwise they are an index array.  The
-*reset-born block*, the states below t, keeps explicit weights: one dot
-product for its inflow and an index shift for its up-moves.  A never-reset
-block of fewer than _MIN_BLOCK origins joins it, because its fixed cost of
-numpy calls per step outweighs what the block saves.
+stores only its origins, the initial states that still match.  While they
+are evenly spaced with stride s they are a range, whose states at one step
+are one run of one residue class mod s, and per-stride class tables give
+its sums as differences T_lo - T_hi of two entries, in O(1), each used only
+when T_hi <= T_lo - T_hi (``MuX._class_tables``).  Otherwise (a split, a
+failed check, an index array) its sums are formed on the fly in chunks of
+_CHUNK states, in O(block).  The *reset-born block*, the states below
+t, keeps explicit weights; a never-reset block of fewer than _MIN_BLOCK
+origins joins it, as its per-step numpy calls would cost more than it saves.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
 roundings behind it and a sum of n terms in any order adds n - 1 (Higham,
-Accuracy and Stability of Numerical Algorithms, chs. 3-4), so the tracked
-total T is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
+Accuracy and Stability of Numerical Algorithms, chs. 3-4); a checked
+difference of two class-table entries, each summing at most m terms of r
+roundings, adds 3 (r + m) + 1.  So the tracked total T is within a factor
+1 +- gamma_k = k u / (1 - k u) of exact:
 
     T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
@@ -78,6 +78,38 @@ _LOG_SLACK = 8.0 * _U
 _NO_ORIGINS = range(0)
 #: a never-reset block with fewer origins joins the reset-born block
 _MIN_BLOCK = 64
+#: weights formed on the fly (sums without class tables, table builds) are
+#: formed this many states at a time
+_CHUNK = 1 << 15
+#: roundings behind a class table's term: pi_c (6), 1 - p_c (3), their product
+_CLASS_ROUNDINGS = _INIT_ROUNDINGS + _TABLE_ROUNDINGS + 1
+
+
+def _stationary(j: np.ndarray) -> np.ndarray:
+    """pi_j = pi1/j^2 for float states j (the values of stationary_weights)."""
+    return PI1 / (j * j)
+
+
+def _reset_share(c: np.ndarray) -> np.ndarray:
+    """pi_c (1 - p_c) = pi1/c^2 * (2c+1)/(c+1)^2 for float states c >= 1."""
+    return _stationary(c) * ((2.0 * c + 1.0) / ((c + 1.0) * (c + 1.0)))
+
+
+def _chunks(o, shift: int):
+    """(i, origins i .. i + _CHUNK - 1 of ``o`` plus ``shift``, as floats)
+    for each chunk of ``o``, a range or an array."""
+    for i in range(0, len(o), _CHUNK):
+        part = o[i:i + _CHUNK]
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop, part.step)
+        yield i, part + float(shift)
+
+
+def _difference(hi_sum: float, tail: float) -> float | None:
+    """hi_sum - tail, or None unless tail <= hi_sum - tail: then hi_sum +
+    tail <= 3 (hi_sum - tail), which keeps the difference's error relative."""
+    d = float(hi_sum - tail)
+    return d if tail <= d else None
 
 
 class ImpossiblePastError(ValueError):
@@ -167,7 +199,7 @@ class ForwardState:
     @property
     def weights(self) -> np.ndarray:
         j = self.states[len(self.born_states):].astype(np.float64)
-        return np.concatenate([self.born_weights, PI1 / (j * j)])
+        return np.concatenate([self.born_weights, _stationary(j)])
 
     def log2_mass(self) -> float:
         """log2 of the tracked mass (the point value, not an enclosure end)."""
@@ -196,7 +228,7 @@ class Transition(NamedTuple):
     its states emitting 1.  origins is the never-reset block, unchanged.
     common is the one symbol all their next states emit, or None if they
     differ; then origin_ones marks the origins whose next state emits 1 (a
-    table view for a range).  s0, s1 are the sums of all weights by emission.
+    view of the emission table for a range).  s0, s1 are the sums of all weights by emission.
     """
 
     born_states: np.ndarray
@@ -220,16 +252,18 @@ class MuX:
         self.source = source
         self.chain = chain or ChainSpec()
         self._cap = 0
-        # _ones[i]: does state i+1 emit 1.  _pi[j], _reset[j]: pi_j = pi1/j^2
-        # and 1 - p_j = (2j+1)/(j+1)^2, indexed by state
+        # _ones[i]: does state i+1 emit 1
         self._ones = np.empty(0, dtype=bool)
-        self._pi = self._reset = np.empty(0, dtype=np.float64)
+        # stride -> its class tables at the current capacity (_class_tables)
+        self._classes: dict[int, tuple] = {}
+        self._initial_total: float | None = None
 
-    # -- cached per-state tables ------------------------------------------
+    # -- cached tables --------------------------------------------------------
 
     def _ensure_tables(self, size: int) -> None:
-        """Emission and transition tables for states 1..size; the source must
-        serve indices up to size or this raises its exhaustion error."""
+        """The emission table for states 1..size; the source must serve
+        indices up to size or this raises its exhaustion error.  Growing it
+        drops the class tables, which are rebuilt on their next use."""
         if size <= self._cap:
             return
         new_cap = max(size, 2 * self._cap, self.chain.truncation_level + 64)
@@ -241,12 +275,31 @@ class MuX:
             new_cap = size  # finite source: take exactly what the query needs
             emis = self.source.prefix_array(new_cap)
         self._ones = emis.view(bool)
-        self._pi = np.empty(new_cap + 1, dtype=np.float64)
-        self._pi[0] = 0.0
-        self._pi[1:] = self.chain.stationary_weights(new_cap)
-        j = np.arange(new_cap + 1, dtype=np.float64)
-        self._reset = (2.0 * j + 1.0) / ((j + 1.0) * (j + 1.0))
+        self._classes = {}
         self._cap = new_cap
+
+    def _class_tables(self, s: int) -> tuple:
+        """The stride-s class tables, built on first use at this capacity.
+
+        State index c = q s + r (state c + 1 emits _ones[c]) is row q of
+        column r: a stride-s range reads rows q .. q + n - 1 of one column.
+        ``up[q, r]`` and ``share[q, r]`` sum pi[c + 1] and pi[c] (1 - p_c)
+        from row q to the tail (no ``share`` for s = 1: the inflow has a
+        closed form); ``counts[q, r]`` counts the ones above row q."""
+        tables = self._classes.get(s)
+        if tables is None:
+            cap, shape = self._cap, (-(-self._cap // s) + 1, s)
+            up, share = np.zeros(shape), np.zeros(shape) if s > 1 else None
+            for i, c in _chunks(range(cap), 0):
+                up.reshape(-1)[i:i + len(c)] = _stationary(c + 1.0)
+                if share is not None:  # c = 0 is never read: t >= 1 there
+                    share.reshape(-1)[i:i + len(c)] = _reset_share(np.maximum(c, 1.0))
+            for table in (up, share) if s > 1 else (up,):  # in place, zero last row first
+                np.cumsum(table[::-1], axis=0, out=table[::-1])
+            counts = np.zeros(shape, dtype=np.int32)
+            counts.reshape(-1)[s:s + cap] = self._ones  # one row down
+            tables = self._classes[s] = (up, share, np.cumsum(counts, axis=0, out=counts))
+        return tables
 
     # -- forward recursion --------------------------------------------------
 
@@ -254,11 +307,13 @@ class MuX:
         """Stationary weights over initial states 1..J, tail mass dropped."""
         J = self.chain.truncation_level
         self._ensure_tables(J)
+        origins = range(1, J + 1)
+        if self._initial_total is None:  # J - 1 roundings, counted by _rel_err
+            self._initial_total = sum(float(_stationary(c).sum()) for _, c in _chunks(origins, 0))
         empty = np.empty(0, dtype=np.int64)
         return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
                             roundings=_INIT_ROUNDINGS,
-                            total=float(self._pi[1:J + 1].sum()),
-                            origins=range(1, J + 1))
+                            total=self._initial_total, origins=origins)
 
     def propagate(self, state: ForwardState) -> Transition:
         """One transition step without emission commitment: the alive states
@@ -273,28 +328,14 @@ class MuX:
         if len(o):
             top = max(top, int(o[-1]) + t)
         self._ensure_tables(top)
-        n = len(s) + len(o)
-        inflow = b0 = b1 = 0.0  # the never-reset block's reset share and sums
-        origin_ones, common = None, None
+        # the never-reset block's reset share and sums, and the roundings its
+        # sums add to the weights they feed
+        inflow = b0 = b1 = 0.0
+        origin_ones, common, block_roundings = None, None, 0
         if len(o):
-            # with c = j + t - 1, the path from origin j is next in state
-            # c + 1, with weight pi[c + 1], emitting x_{c+1}; at t >= 1 it
-            # moves there from state c and sends c's reset share to state 1
-            c = (slice(o.start + t - 1, o.stop + t - 1, o.step)
-                 if isinstance(o, range) else o + (t - 1))
-            if t:
-                inflow = np.dot(self._pi[c], self._reset[c])
-            block = self._pi[1:][c]
-            emits = self._ones[c]
-            k = np.count_nonzero(emits)
-            if k == 0 or k == len(o):
-                common = int(k > 0)
-                b = float(np.add.reduce(block))
-                b0, b1 = (0.0, b) if common else (b, 0.0)
-            else:
-                origin_ones = emits
-                b1 = float(np.add.reduce(block, where=emits))
-                b0 = float(np.add.reduce(block, where=~emits))
+            sums = self._range_sums(o, t) if t and isinstance(o, range) else None
+            inflow, b0, b1, origin_ones, common, block_roundings = (
+                sums or self._direct_sums(o, t))
         if t == 0:
             states, v, roundings = s, w, state.roundings
             ones = self._ones[s - 1]
@@ -304,20 +345,64 @@ class MuX:
             np.add(s, 1, out=states[1:])
             v = np.empty(len(s) + 1, dtype=np.float64)
             up = v[1:]
-            # the tables cover every state, so "clip" only skips the
-            # buffering that take(out=...) does in its default mode
-            self._reset.take(s, out=up, mode="clip")
-            v[0] = np.dot(w, up) + inflow
+            np.divide(2.0 * s + 1.0, np.square(states[1:], dtype=np.float64), out=up)
+            v[0] = np.dot(w, up) + inflow  # 1 - p_j = (2j+1)/(j+1)^2
             np.square(s / states[1:], out=up)  # p_j = (j/(j+1))^2: 3 roundings
             up *= w
             ones = np.empty(len(s) + 1, dtype=bool)
             ones[0] = self._ones[0]
+            # the table covers every state, so "clip" only skips the
+            # buffering that take(out=...) does in its default mode
             self._ones.take(s, out=ones[1:], mode="clip")  # j + 1 emits x_{j+1}
-            # the dot products' n terms each add a product and n - 1 sums
-            roundings = state.roundings + _TABLE_ROUNDINGS + n
+            # the born dot product's terms each add a product and a sum
+            roundings = (state.roundings + _TABLE_ROUNDINGS + len(s)
+                         + block_roundings)
         s1 = float(np.add.reduce(v, where=ones)) + b1
         s0 = float(np.add.reduce(v, where=~ones)) + b0
         return Transition(states, v, ones, o, origin_ones, common, s0, s1, roundings)
+
+    # with c = j + t - 1, the path from origin j is next in state c + 1,
+    # weighs pi[c + 1] and emits x_{c+1}; at t >= 1 it sends c's reset share
+    # pi[c] (1 - p_c) to state 1.  Both helpers return (inflow, b0, b1,
+    # origin_ones, common, roundings).
+
+    def _range_sums(self, o: range, t: int) -> tuple | None:
+        """The block's sums from the class tables in O(1), or None if the
+        range splits or a difference fails its check."""
+        s, n, a = o.step, len(o), o.start + t - 1
+        q, r = divmod(a, s)
+        up, share, counts = self._class_tables(s)
+        k = int(counts[q + n, r] - counts[q, r])  # a split reads every origin anyway
+        b = _difference(up[q, r], up[q + n, r])
+        if s == 1:  # sum_{c=a}^{a+n-1} pi_c (1 - p_c) = pi1 (1/a^2 - 1/(a+n)^2)
+            inflow = _difference(1 / (a * a), 1 / ((a + n) * (a + n)))
+            inflow = None if inflow is None else PI1 * inflow
+        else:
+            inflow = _difference(share[q, r], share[q + n, r])
+        if 0 < k < n or b is None or inflow is None:
+            return None
+        # each entry sums at most len(up) - 1 terms of _CLASS_ROUNDINGS roundings
+        return (inflow, 0.0 if k else b, b if k else 0.0, None, int(k > 0),
+                3 * (_CLASS_ROUNDINGS + len(up) - 1) + 1)
+
+    def _direct_sums(self, o, t: int) -> tuple:
+        """The block's sums over every origin, in O(len(o)), with weights
+        formed _CHUNK at a time."""
+        emits = self._ones[slice(o.start + t - 1, o.stop + t - 1, o.step)
+                           if isinstance(o, range) else o + (t - 1)]
+        k = np.count_nonzero(emits)
+        inflow = b0 = b1 = 0.0
+        mask = np.empty(min(len(o), _CHUNK))
+        for i, c in _chunks(o, t - 1):
+            if t:
+                inflow += float(_reset_share(c).sum())
+            block, m = _stationary(c + 1.0), mask[:len(c)]
+            np.copyto(m, emits[i:i + _CHUNK])  # a 0/1 mask: its products are exact
+            b1 += float(block @ m) if k else 0.0
+            b0 += float(block @ np.subtract(1.0, m, out=m)) if k < len(o) else 0.0
+        common = int(k > 0) if k in (0, len(o)) else None
+        # each term of the inflow adds a product and a sum
+        return inflow, b0, b1, emits if common is None else None, common, len(o)
 
     def advance(self, state: ForwardState, symbol: Symbol,
                 step: Transition | None = None) -> ForwardState:

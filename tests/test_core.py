@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -73,6 +74,14 @@ def test_log2_prob_roundtrip():
     assert prob(IMPOSSIBLE) == 0.0
     with pytest.raises(ValueError):
         log2_prob(-0.1)
+
+
+def test_log2_prob_is_never_positive():
+    # a probability rounded just past 1, within the accepted tolerance
+    for p in (1.0 + 1e-13, 1.0 + 1e-12, math.nextafter(1.0, 2.0)):
+        assert log2_prob(p) == 0.0
+    with pytest.raises(ValueError):
+        log2_prob(1.0 + 1e-11)
 
 
 def test_impossible_saturates():

@@ -139,6 +139,12 @@ def test_pinsker_bound_is_elementwise_and_check_can_fail():
     assert not check_pinsker(LossTrace(kl_bits=zeros, abs_loss=miss, sq_loss=zeros))
 
 
+def test_trace_scores_subnormal_probabilities_exactly():
+    # 5e-324 is 2^-1074 and 1e-323 is 2^-1073; zero scores an infinite loss
+    trace = trace_from_realized_probs([5e-324, 1e-323, 0.0])
+    assert trace.kl_bits.tolist() == [1074.0, 1073.0, math.inf]
+
+
 def test_liminf_proxy_is_tail_window_minimum():
     trace = trace_from_realized_probs(np.linspace(0.3, 0.9, 20))
     proxy = trace.liminf_proxy()

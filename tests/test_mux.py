@@ -26,6 +26,7 @@ from predlab import (
     word_frequency,
 )
 from predlab.cli import main, parse_source_spec
+from predlab import mux as mux_module
 from predlab.mux import ForwardState, _as_range
 
 from conftest import corpus_sources
@@ -495,6 +496,124 @@ def test_forward_state_blocks_match_dense_recursion():
         if src.spec == "periodic:01":
             assert recorder.largest_prefix > 300 + 64
     assert {(range, range), (range, np.ndarray), (np.ndarray, np.ndarray)} <= layouts
+
+
+@pytest.mark.parametrize("pattern", ["0", "01"])
+def test_range_steps_that_do_not_split_use_the_class_tables(monkeypatch, pattern):
+    # periodic:0 keeps a stride-1 range and periodic:01 a stride-2 one; the
+    # 100 steps cross the capacity doubling at J + 64, which rebuilds them
+    direct, fallbacks = MuX._direct_sums, []
+
+    def counted(self, o, t):
+        sums = direct(self, o, t)
+        if isinstance(o, range) and t >= 2 and sums[4] is not None:
+            fallbacks.append(t)  # a range that did not split
+        return sums
+
+    monkeypatch.setattr(MuX, "_direct_sums", counted)
+    src = PeriodicSource(pattern)
+    mux = MuX(src, ChainSpec(100_000))
+    state = mux.initial_state()
+    for s in src.prefix_array(100):
+        state = mux.advance(state, int(s))
+    assert isinstance(state.origins, range) and state.origins.step == len(pattern)
+    assert mux._cap > 100_000 + 64
+    assert fallbacks == []
+
+
+def test_initial_total_is_summed_once_per_mux(monkeypatch):
+    mux = mux01(1000)
+    first = mux.initial_state().total
+    assert first == pytest.approx(math.fsum(PI1 / (j * j) for j in range(1, 1001)), rel=1e-15)
+
+    def refuse(j):
+        raise AssertionError("pi_j formed again")
+
+    monkeypatch.setattr(mux_module, "_stationary", refuse)
+    assert mux.predictor().fresh().log2_initial_mass() == math.log2(first)
+    assert mux.initial_state().total == first
+
+
+def _gamma(k):
+    return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+
+
+def test_short_range_below_the_capacity_falls_back(monkeypatch):
+    # 100 origins 2000, 2002, ..., 2198 at t = 3 read states 2002..2200, but
+    # their class's tail from state 2202 up to the capacity J + 64 outweighs
+    # them, so a difference of two suffix sums is not trusted there
+    mux, o, t = mux01(10_000), range(2000, 2200, 2), 3
+    mux.initial_state()
+    q, r = divmod(o.start + t - 1, 2)
+    up, share, _ = mux._class_tables(2)
+    assert up[q + len(o), r] > up[q, r] - up[q + len(o), r]
+    assert share[q + len(o), r] > share[q, r] - share[q + len(o), r]
+    direct, calls = MuX._direct_sums, []
+    monkeypatch.setattr(MuX, "_direct_sums",
+                        lambda self, o, t: calls.append(o) or direct(self, o, t))
+    empty = np.empty(0, dtype=np.int64)
+    step = mux.propagate(ForwardState(t, empty, np.empty(0), 0.0, roundings=6,
+                                      total=1.0, origins=o))
+    assert calls == [o]
+    # the next states c + 1 are odd and emit 0, and so does the new state 1
+    c = [j + t - 1 for j in o]
+    want = math.fsum([PI1 / ((k + 1) * (k + 1)) for k in c]
+                     + [PI1 / (k * k) * ((2 * k + 1) / ((k + 1) * (k + 1))) for k in c])
+    assert step.s1 == 0.0
+    assert abs(step.s0 - want) <= _gamma(step.roundings + len(o)) * want
+
+
+class _FiniteSource(SequenceSource):
+    """The first n bits of ``inner``; asking for more raises."""
+
+    def __init__(self, inner, n):
+        self.inner, self.n, self.spec = inner, n, f"{inner.spec}[:{n}]"
+
+    def symbol_at(self, t):
+        if t > self.n:
+            raise SourceExhaustedError(f"only {self.n} symbols")
+        return self.inner.symbol_at(t)
+
+    def prefix_array(self, n):
+        if n > self.n:
+            raise SourceExhaustedError(f"only {self.n} symbols")
+        return self.inner.prefix_array(n)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+@pytest.mark.parametrize("make", [
+    lambda: MuX(CoinFlipSource(2), ChainSpec(99)),  # capacity J + 64 = 163
+    # a finite source of J + 10 symbols: the capacity is J = 203
+    lambda: MuX(_FiniteSource(CoinFlipSource(3), 213), ChainSpec(203))],
+    ids=["infinite", "finite"])
+def test_class_tables_match_fsum(stride, make):
+    mux = make()
+    mux.initial_state()
+    cap = mux._cap
+    assert cap % stride or stride == 1
+    x = mux.source.prefix_array(cap)
+    up, share, counts = mux._class_tables(stride)
+    rows = len(up) - 1
+    assert (share is None) == (stride == 1)
+    for r in range(stride):
+        cs = list(range(r, cap, stride))  # state indices c of class r
+        terms = [PI1 / ((c + 1) * (c + 1)) for c in cs]
+        shares = [PI1 / (c * c) * ((2 * c + 1) / ((c + 1) * (c + 1))) if c else 0.0
+                  for c in cs]
+        for q in range(rows + 1):
+            assert counts[q, r] == int(x[cs[:q]].sum())
+            want = math.fsum(terms[q:])
+            assert abs(up[q, r] - want) <= _gamma(rows) * want
+            if share is not None and (q, r) != (0, 0):  # c = 0 is never read
+                want = math.fsum(shares[q:])
+                assert abs(share[q, r] - want) <= _gamma(rows) * want
+            # a difference that passes its check is within the counted gamma
+            for n in range(1, rows - q + 1):
+                d = up[q, r] - up[q + n, r]
+                if up[q + n, r] <= d:
+                    want = math.fsum(terms[q:q + n])
+                    count = 3 * (mux_module._CLASS_ROUNDINGS + rows) + 1
+                    assert abs(d - want) <= _gamma(count) * want
 
 
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
