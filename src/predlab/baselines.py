@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import Predictor, Symbol, Word, validate_symbol
+from .core import Predictor, Symbol, validate_symbol
 
 MAX_MIXTURE_ORDER = 16
 
@@ -53,12 +53,6 @@ class KTPredictor(Predictor):
 
     def observe(self, symbol: Symbol) -> None:
         self.counts[validate_symbol(symbol)] += 1
-
-    def conditional(self, past: Word) -> tuple[float, float]:
-        # direct formula from the past's counts; must agree with replay
-        n1 = sum(validate_symbol(s) for s in past)
-        p1 = (n1 + 0.5) / (len(past) + 1)
-        return (1.0 - p1, p1)
 
 
 class FiniteOrderMixture(Predictor):

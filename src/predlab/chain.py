@@ -92,11 +92,6 @@ class ChainSpec:
     def tail_mass_bound(self) -> float:
         return PI1 / self.truncation_level
 
-    def stationary_weights(self, size: int) -> np.ndarray:
-        """pi_1..pi_size as an array."""
-        j = np.arange(1, size + 1, dtype=np.float64)
-        return PI1 / (j * j)
-
 
 @dataclass
 class StatePath:

@@ -177,8 +177,7 @@ def _cmd_loss(args) -> int:
         "cesaro_sq_final": float(trace.cesaro_sq[-1]),
         "kl_liminf_proxy": trace.liminf_proxy(),
     }
-    _dump_json(summary, out_dir / "summary.json")
-    sys.stdout.write(_dump_json(summary, None))
+    sys.stdout.write(_dump_json(summary, out_dir / "summary.json"))
     return EXIT_OK
 
 
@@ -214,8 +213,7 @@ def _cmd_theorem1(args) -> int:
         "mux_cumulative_bound": log_loss_bound(args.n),
         "max_mux_width": float(run.mux_widths.max()),
     }
-    _dump_json(summary, out_dir / "summary.json")
-    sys.stdout.write(_dump_json(summary, None))
+    sys.stdout.write(_dump_json(summary, out_dir / "summary.json"))
     return EXIT_OK
 
 

@@ -62,7 +62,7 @@ def format_bits(word) -> str:
 def log2_prob(p: float) -> float:
     """Probability -> log2, mapping 0 to IMPOSSIBLE and a p rounded just
     past 1 (within 1e-12) to 0."""
-    if p < 0.0 or p > 1.0 + 1e-12:
+    if not 0.0 <= p <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError(f"not a probability: {p!r}")
     return min(0.0, math.log2(p)) if p > 0.0 else IMPOSSIBLE
 
@@ -92,9 +92,9 @@ class LogInterval:
     width_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if self.lower_log2 > self.upper_log2:
+        if not self.lower_log2 <= self.upper_log2:  # NaN fails too
             raise ValueError(
-                f"lower {self.lower_log2} exceeds upper {self.upper_log2}"
+                f"need lower <= upper, got {self.lower_log2}, {self.upper_log2}"
             )
 
     @property
@@ -163,25 +163,20 @@ class SequenceSource(ABC):
     the same symbol on every call and every run.
     """
 
-    #: spec string that reconstructs this source (used in artifact headers)
+    #: a name for the source: the source-spec string that rebuilds it where
+    #: the CLI grammar has one, a label otherwise; the library never reads it
     spec: str = ""
 
     @abstractmethod
     def symbol_at(self, t: int) -> Symbol:
         """The t-th symbol, t >= 1."""
 
-    def prefix(self, n: int) -> Word:
-        if n < 0:
-            raise ValueError("prefix length must be >= 0")
-        return tuple(self.symbol_at(t) for t in range(1, n + 1))
-
+    @abstractmethod
     def prefix_array(self, n: int) -> np.ndarray:
-        """First n symbols as a uint8 array (bulk form of ``prefix``)."""
-        if n < 0:
-            raise ValueError("prefix length must be >= 0")
-        return np.fromiter(
-            (self.symbol_at(t) for t in range(1, n + 1)), dtype=np.uint8, count=n
-        )
+        """First n symbols as a uint8 array; a negative n raises ValueError."""
+
+    def prefix(self, n: int) -> Word:
+        return tuple(self.prefix_array(n).tolist())
 
 
 class PeriodicSource(SequenceSource):
@@ -248,9 +243,10 @@ class CoinFlipSource(SequenceSource):
 
     The stream comes in blocks of 2^16 symbols, each drawn from 8192 raw
     64-bit outputs (8 symbols per output), so block b starts 8192 b outputs
-    into the stream.  ``prefix_array`` extends a cached prefix sequentially;
-    ``symbol_at`` past that prefix draws only the block holding its index,
-    from a generator advanced to the block start, so a far index costs one
+    into the stream.  Every read draws whole blocks from one generator,
+    advanced to the first block it needs: ``prefix_array`` extends a cached
+    prefix by its missing blocks in one draw, and ``symbol_at`` past that
+    prefix draws only the block holding its index, so a far index costs one
     block, not the whole prefix.
     """
 
@@ -261,20 +257,14 @@ class CoinFlipSource(SequenceSource):
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self.spec = f"coin:{self.seed}"
-        self._rng = np.random.default_rng(self.seed)
         self._cache = np.empty(0, dtype=np.uint8)
         self._far: dict[int, np.ndarray] = {}
 
-    def _far_block(self, b: int) -> np.ndarray:
-        block = self._far.get(b)
-        if block is None:
-            if len(self._far) >= self._FAR_BLOCKS:
-                del self._far[next(iter(self._far))]  # the oldest
-            bits = np.random.PCG64(self.seed).advance(self._BLOCK_DRAWS * b)
-            block = np.random.Generator(bits).integers(
-                0, 2, size=self._BLOCK, dtype=np.uint8)
-            self._far[b] = block
-        return block
+    def _blocks(self, b: int, count: int) -> np.ndarray:
+        """Blocks b .. b + count - 1 of the stream, in one draw."""
+        bits = np.random.PCG64(self.seed).advance(self._BLOCK_DRAWS * b)
+        return np.random.Generator(bits).integers(
+            0, 2, size=count * self._BLOCK, dtype=np.uint8)
 
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:
@@ -282,16 +272,19 @@ class CoinFlipSource(SequenceSource):
         if t <= len(self._cache):
             return int(self._cache[t - 1])
         b, i = divmod(t - 1, self._BLOCK)
-        return int(self._far_block(b)[i])
+        if b not in self._far:
+            if len(self._far) >= self._FAR_BLOCKS:
+                del self._far[next(iter(self._far))]  # the oldest
+            self._far[b] = self._blocks(b, 1)
+        return int(self._far[b][i])
 
     def prefix_array(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        # the missing whole blocks in one draw: the same stream as drawing
-        # them one at a time, without one concatenation per block
-        blocks = -(-(n - len(self._cache)) // self._BLOCK)
+        have = len(self._cache) // self._BLOCK
+        blocks = -(-n // self._BLOCK) - have
         if blocks > 0:
-            more = self._rng.integers(0, 2, size=blocks * self._BLOCK, dtype=np.uint8)
+            more = self._blocks(have, blocks)
             self._cache = np.concatenate([self._cache, more])
         return self._cache[:n].copy()
 

@@ -12,9 +12,10 @@ blocks.  Along a path that never resets the weights telescope,
 pi1/j^2 * prod_{i=j}^{m-1} i^2/(i+1)^2 = pi1/m^2, so the *never-reset block*
 stores only its origins, the initial states that still match.  While they
 are evenly spaced with stride s they are a range, whose states at one step
-are one run of one residue class mod s, and per-stride class tables give
-its sums as differences T_lo - T_hi of two entries, in O(1), each used only
-when T_hi <= T_lo - T_hi (``MuX._class_tables``).  Otherwise (a split, a
+are one run of one residue class mod s, and the same three class tables
+for every stride (stride 1 too) give its sums as differences T_lo - T_hi
+of two entries, in O(1), each used only when T_hi <= T_lo - T_hi
+(``MuX._class_tables``).  Otherwise (a split, a
 failed check, an index array) its sums are formed on the fly in chunks of
 _CHUNK states, in O(block).  The *reset-born block*, the states below
 t, keeps explicit weights; a never-reset block of fewer than _MIN_BLOCK
@@ -24,9 +25,9 @@ origins joins it, as its per-step numpy calls would cost more than it saves.
 weights too small to multiply without underflow.  Each weight counts the
 roundings behind it and a sum of n terms in any order adds n - 1 (Higham,
 Accuracy and Stability of Numerical Algorithms, chs. 3-4); a checked
-difference of two class-table entries, each summing at most m terms of r
-roundings, adds 3 (r + m) + 1.  So the tracked total T is within a factor
-1 +- gamma_k = k u / (1 - k u) of exact:
+difference of two class-table entries over n terms of r roundings each adds
+2 (n + r) + 1 (``MuX._range_sums``).  So the tracked total T is within a
+factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
     T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import PI1, ChainSpec, sample_path
+from .chain import PI1, ChainSpec, sample_path, stationary_weight, transition_prob
 from .core import (
     IMPOSSIBLE,
     LogInterval,
@@ -86,7 +87,7 @@ _CLASS_ROUNDINGS = _INIT_ROUNDINGS + _TABLE_ROUNDINGS + 1
 
 
 def _stationary(j: np.ndarray) -> np.ndarray:
-    """pi_j = pi1/j^2 for float states j (the values of stationary_weights)."""
+    """pi_j = pi1/j^2 for float states j (the values of stationary_weight)."""
     return PI1 / (j * j)
 
 
@@ -120,7 +121,7 @@ def log_loss_bound(n):
     """Certified ceiling on the cumulative log2 loss of mu_x on x_{1..n}:
     -log2(pi1) + 2 log2(n+1), elementwise for an array of horizons."""
     n = np.asarray(n, dtype=np.float64)
-    if np.any(n < 1):
+    if not np.all(n >= 1):  # NaN fails too
         raise ValueError("horizon must be >= 1")
     return -math.log2(PI1) + 2.0 * np.log2(n + 1.0)
 
@@ -284,17 +285,16 @@ class MuX:
         State index c = q s + r (state c + 1 emits _ones[c]) is row q of
         column r: a stride-s range reads rows q .. q + n - 1 of one column.
         ``up[q, r]`` and ``share[q, r]`` sum pi[c + 1] and pi[c] (1 - p_c)
-        from row q to the tail (no ``share`` for s = 1: the inflow has a
-        closed form); ``counts[q, r]`` counts the ones above row q."""
+        from row q to the tail; ``counts[q, r]`` counts the ones above row q."""
         tables = self._classes.get(s)
         if tables is None:
             cap, shape = self._cap, (-(-self._cap // s) + 1, s)
-            up, share = np.zeros(shape), np.zeros(shape) if s > 1 else None
+            up, share = np.zeros(shape), np.zeros(shape)
             for i, c in _chunks(range(cap), 0):
                 up.reshape(-1)[i:i + len(c)] = _stationary(c + 1.0)
-                if share is not None:  # c = 0 is never read: t >= 1 there
-                    share.reshape(-1)[i:i + len(c)] = _reset_share(np.maximum(c, 1.0))
-            for table in (up, share) if s > 1 else (up,):  # in place, zero last row first
+                # c = 0 is never read: t >= 1 there
+                share.reshape(-1)[i:i + len(c)] = _reset_share(np.maximum(c, 1.0))
+            for table in (up, share):  # in place, zero last row first
                 np.cumsum(table[::-1], axis=0, out=table[::-1])
             counts = np.zeros(shape, dtype=np.int32)
             counts.reshape(-1)[s:s + cap] = self._ones  # one row down
@@ -369,21 +369,19 @@ class MuX:
     def _range_sums(self, o: range, t: int) -> tuple | None:
         """The block's sums from the class tables in O(1), or None if the
         range splits or a difference fails its check."""
-        s, n, a = o.step, len(o), o.start + t - 1
-        q, r = divmod(a, s)
+        s, n = o.step, len(o)
+        q, r = divmod(o.start + t - 1, s)
         up, share, counts = self._class_tables(s)
         k = int(counts[q + n, r] - counts[q, r])  # a split reads every origin anyway
         b = _difference(up[q, r], up[q + n, r])
-        if s == 1:  # sum_{c=a}^{a+n-1} pi_c (1 - p_c) = pi1 (1/a^2 - 1/(a+n)^2)
-            inflow = _difference(1 / (a * a), 1 / ((a + n) * (a + n)))
-            inflow = None if inflow is None else PI1 * inflow
-        else:
-            inflow = _difference(share[q, r], share[q + n, r])
+        inflow = _difference(share[q, r], share[q + n, r])
         if 0 < k < n or b is None or inflow is None:
             return None
-        # each entry sums at most len(up) - 1 terms of _CLASS_ROUNDINGS roundings
+        # the tail-first cumsum forms T_lo from T_hi by n additions, each
+        # within u T_lo <= 2u D as T_hi <= D, so T_hi's own error cancels;
+        # the n terms carry _CLASS_ROUNDINGS each, the subtraction one more
         return (inflow, 0.0 if k else b, b if k else 0.0, None, int(k > 0),
-                3 * (_CLASS_ROUNDINGS + len(up) - 1) + 1)
+                2 * (n + _CLASS_ROUNDINGS) + 1)
 
     def _direct_sums(self, o, t: int) -> tuple:
         """The block's sums over every origin, in O(len(o)), with weights
@@ -561,10 +559,6 @@ class MuxPredictor(Predictor):
     def fresh(self) -> "MuxPredictor":
         return MuxPredictor(self.mux)
 
-    @property
-    def t(self) -> int:
-        return self._state.t
-
     def log2_mass(self) -> float:
         """log2 of the tracked (unnormalized) mass of the observed past."""
         return self._state.log2_mass()
@@ -618,7 +612,6 @@ def brute_force_marginal(mux: MuX, y: Word, max_init_state: int) -> float:
         raise ValueError("brute force handles max_init_state <= 64")
     emis = mux.source.prefix_array(max_init_state + n)
     y_arr = tuple(validate_symbol(s) for s in y)
-    spec = mux.chain
     leaf_probs: list[float] = []
 
     def extend(state: int, t: int, acc: float) -> None:
@@ -627,11 +620,10 @@ def brute_force_marginal(mux: MuX, y: Word, max_init_state: int) -> float:
         if t + 1 == n:
             leaf_probs.append(acc)
             return
-        p = (state * state) / ((state + 1) * (state + 1))
+        p = transition_prob(state)
         extend(state + 1, t + 1, acc * p)
         extend(1, t + 1, acc * (1.0 - p))
 
-    weights = spec.stationary_weights(max_init_state)
     for j in range(1, max_init_state + 1):
-        extend(j, 0, float(weights[j - 1]))
+        extend(j, 0, stationary_weight(j))
     return math.fsum(leaf_probs)

@@ -62,6 +62,9 @@ def test_kt_stateless_matches_incremental(past):
     for s in past:
         inc.observe(s)
     assert inc.predict() == pred.conditional(past)
+    # the add-half formula from the past's counts
+    p1 = (sum(past) + 0.5) / (len(past) + 1)
+    assert inc.predict() == (1.0 - p1, p1)
 
 
 @given(pasts)

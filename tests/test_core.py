@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 
@@ -76,6 +77,11 @@ def test_log2_prob_roundtrip():
         log2_prob(-0.1)
 
 
+def test_log2_prob_rejects_nan():
+    with pytest.raises(ValueError, match="not a probability"):
+        log2_prob(math.nan)
+
+
 def test_log2_prob_is_never_positive():
     # a probability rounded just past 1, within the accepted tolerance
     for p in (1.0 + 1e-13, 1.0 + 1e-12, math.nextafter(1.0, 2.0)):
@@ -99,6 +105,13 @@ def test_log_interval_invariants():
     assert iv.midpoint_prob == pytest.approx(0.3125, rel=1e-12)
     with pytest.raises(ValueError):
         LogInterval(-1.0, -2.0)
+
+
+@pytest.mark.parametrize("ends", [(math.nan, 0.0), (-1.0, math.nan), (math.nan, math.nan)])
+def test_log_interval_rejects_nan_ends(ends):
+    with pytest.raises(ValueError):
+        LogInterval(*ends)
+    assert LogInterval(IMPOSSIBLE, IMPOSSIBLE).upper_prob == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +221,26 @@ def test_prefix_array_rejects_negative_length(kind, tmp_path):
 def test_coin_flip_regression_anchor():
     # pinned once from a run of the seeded generator
     assert format_bits(CoinFlipSource(7).prefix(5)) == "10111"
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "eca1d5a57b1bba4d0c7aed14f351340e900394cdfbacadb119a0f1f94abef99d"),
+    (1, "6d270fff59567e7546b47958dff224acbd00ddbb72ef5263ead786347b7c7813"),
+    (7, "eb87afdca3a5f5781c521bfa19480adc846552b683c0b7b06a523fb90c759110"),
+])
+def test_coin_flip_stream_is_pinned(seed, digest):
+    # SHA-256 of 16 blocks and 3 symbols, pinned from the sequential draw
+    # np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
+    arr = CoinFlipSource(seed).prefix_array(2**20 + 3)
+    assert hashlib.sha256(arr.tobytes()).hexdigest() == digest
+
+
+def test_coin_flip_block_starts_match_the_prefix():
+    block = CoinFlipSource._BLOCK
+    ref = CoinFlipSource(11).prefix_array(2**20 + 1)
+    src = CoinFlipSource(11)
+    for t in range(1, 2**20 + 2, block):  # every block start up to 2^20
+        assert src.symbol_at(t) == ref[t - 1], t
 
 
 def test_file_source(tmp_path):

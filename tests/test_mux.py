@@ -232,6 +232,12 @@ def test_log_loss_bound_values():
         log_loss_bound(np.array([3, 0, 5]))
 
 
+@pytest.mark.parametrize("n", [math.nan, [3.0, math.nan]])
+def test_log_loss_bound_rejects_nan(n):
+    with pytest.raises(ValueError, match="horizon"):
+        log_loss_bound(n)
+
+
 def test_cumulative_loss_under_bound_periodic():
     src = PeriodicSource("01")
     trace = dirac_kl(src, MuX(src, ChainSpec(10_000)).predictor(), 1000)
@@ -594,7 +600,6 @@ def test_class_tables_match_fsum(stride, make):
     x = mux.source.prefix_array(cap)
     up, share, counts = mux._class_tables(stride)
     rows = len(up) - 1
-    assert (share is None) == (stride == 1)
     for r in range(stride):
         cs = list(range(r, cap, stride))  # state indices c of class r
         terms = [PI1 / ((c + 1) * (c + 1)) for c in cs]
@@ -604,16 +609,32 @@ def test_class_tables_match_fsum(stride, make):
             assert counts[q, r] == int(x[cs[:q]].sum())
             want = math.fsum(terms[q:])
             assert abs(up[q, r] - want) <= _gamma(rows) * want
-            if share is not None and (q, r) != (0, 0):  # c = 0 is never read
+            tables = [(up, terms)]
+            if (q, r) != (0, 0):  # c = 0 is never read
                 want = math.fsum(shares[q:])
                 assert abs(share[q, r] - want) <= _gamma(rows) * want
-            # a difference that passes its check is within the counted gamma
+                tables.append((share, shares))
+            # a difference over n terms that passes its check is within the
+            # counted gamma
             for n in range(1, rows - q + 1):
-                d = up[q, r] - up[q + n, r]
-                if up[q + n, r] <= d:
-                    want = math.fsum(terms[q:q + n])
-                    count = 3 * (mux_module._CLASS_ROUNDINGS + rows) + 1
-                    assert abs(d - want) <= _gamma(count) * want
+                count = 2 * (n + mux_module._CLASS_ROUNDINGS) + 1
+                for table, vals in tables:
+                    d = table[q, r] - table[q + n, r]
+                    if table[q + n, r] <= d:
+                        want = math.fsum(vals[q:q + n])
+                        assert abs(d - want) <= _gamma(count) * want
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_range_step_counts_the_roundings_of_its_run(stride):
+    # a checked difference over n terms adds 2 (n + _CLASS_ROUNDINGS) + 1
+    # roundings, whatever the table's row count
+    mux = MuX(PeriodicSource("0" * stride), ChainSpec(10_000))
+    mux.initial_state()
+    for o, t in ((range(1, 10_001, stride), 1), (range(1, 5001, stride), 7)):
+        sums = mux._range_sums(o, t)
+        assert sums is not None
+        assert sums[-1] == 2 * (len(o) + mux_module._CLASS_ROUNDINGS) + 1
 
 
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
