@@ -79,6 +79,7 @@ class AdversarialRun:
     mux_trace: LossTrace          # tracking measure of x scored on x
     bound_per_step: np.ndarray    # log_loss_bound(t) / t for t = 1..n
     mux_widths: np.ndarray        # conditional enclosure widths, logged
+    symbols_built: int            # symbols the adversary extended to
 
     @property
     def horizon(self) -> int:
@@ -126,4 +127,5 @@ def theorem1_experiment(
         mux_trace=mux_trace,
         bound_per_step=bound,
         mux_widths=widths,
+        symbols_built=len(source._symbols),
     )

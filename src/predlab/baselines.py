@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import Predictor, Symbol, validate_symbol
 
 MAX_MIXTURE_ORDER = 16
@@ -68,6 +66,11 @@ class FiniteOrderMixture(Predictor):
     consecutive joints, i.e. posterior-weighted component conditionals.  The
     joint therefore dominates every component: cumulative mixture loss never
     exceeds a component's cumulative loss plus -log2 w_k.
+
+    The posterior is computed in Python floats over the K + 1 log2 terms
+    (shifted by their max, raised to powers of 2, normalised), so a
+    conditional may differ from a numpy evaluation in the last bit; the
+    adversarial sequences built against it are pinned in the tests.
     """
 
     def __init__(self, max_order: int) -> None:
@@ -100,30 +103,31 @@ class FiniteOrderMixture(Predictor):
                 self._p1.append((n1 + 0.5) / (n0 + n1 + 1))
         return self._p1
 
-    def _log2_terms(self) -> np.ndarray:
+    def _log2_terms(self) -> list[float]:
         """log2 w_k + log2 mu_k(past), one entry per order."""
-        return np.array(
-            [lw + lj for lw, lj in zip(self.log2_weights, self.log2_joints)]
-        )
+        return [lw + lj for lw, lj in zip(self.log2_weights, self.log2_joints)]
 
     def predict(self) -> tuple[float, float]:
         a = self._log2_terms()
-        a -= a.max()
-        g = np.exp2(a)
-        p1 = float(np.dot(g / g.sum(), self._component_p1()))
+        m = max(a)
+        g = [2.0 ** (x - m) for x in a]
+        total = sum(g)
+        p1 = sum(gk / total * pk for gk, pk in zip(g, self._component_p1()))
         p1 = min(max(p1, 0.0), 1.0)
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        for k, (p1, c) in enumerate(zip(self._component_p1(), self._contexts)):
-            self.log2_joints[k] += math.log2(p1 if symbol else 1.0 - p1)
-            self._counts[k][2 * c + symbol] += 1
-            self._contexts[k] = _last(c << 1 | symbol, k)
+        joints, contexts = self.log2_joints, self._contexts
+        for k, (p1, c, counts) in enumerate(
+                zip(self._component_p1(), contexts, self._counts)):
+            joints[k] += math.log2(p1 if symbol else 1.0 - p1)
+            counts[2 * c + symbol] += 1
+            contexts[k] = _last(c << 1 | symbol, k)
         self._p1 = None
 
     def log2_joint(self) -> float:
         """log2 of the mixture probability of the observed past."""
         a = self._log2_terms()
-        m = float(a.max())
-        return m + math.log2(float(np.exp2(a - m).sum()))
+        m = max(a)
+        return m + math.log2(sum(2.0 ** (x - m) for x in a))

@@ -212,6 +212,7 @@ def _cmd_theorem1(args) -> int:
         "mux_cumulative_bits": float(run.mux_trace.cum_kl_bits[-1]),
         "mux_cumulative_bound": log_loss_bound(args.n),
         "max_mux_width": float(run.mux_widths.max()),
+        "adversary_symbols_built": run.symbols_built,
     }
     sys.stdout.write(_dump_json(summary, out_dir / "summary.json"))
     return EXIT_OK

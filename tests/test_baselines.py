@@ -144,6 +144,41 @@ def test_mixture_adversary_is_pinned(max_order):
     assert digest == MIXTURE_ADVERSARY_SHA256[max_order]
 
 
+# SHA-256 of the first 10,064 adversarial symbols (J + 64 at J = 1e4, the
+# length theorem1 builds) against mix:K
+MIXTURE_ADVERSARY_FULL_SHA256 = {
+    3: "10189c0c9d71e6506efe4e12a0c21a41bca4a75d949a29b94a31ce31aae40a4f",
+    5: "a2444639c02274cf05f3121715cd31a96459f36ebc8f460f09b01520cd2cfac5",
+}
+
+
+@pytest.mark.parametrize("max_order", sorted(MIXTURE_ADVERSARY_FULL_SHA256))
+def test_mixture_adversary_is_pinned_at_theorem1_length(max_order):
+    x = format_bits(adversarial_sequence(FiniteOrderMixture(max_order), 10064))
+    digest = hashlib.sha256(x.encode()).hexdigest()
+    assert digest == MIXTURE_ADVERSARY_FULL_SHA256[max_order]
+
+
+def _assert_chain_rule(mix, past):
+    """predict()[s] == 2^(log2_joint after observe(s) - log2_joint before)."""
+    before = mix.log2_joint()
+    for s in past:
+        p = mix.predict()[s]
+        mix.observe(s)
+        after = mix.log2_joint()
+        assert p == pytest.approx(2.0 ** (after - before), rel=1e-9)
+        before = after
+
+
+@pytest.mark.parametrize("max_order", range(9))
+def test_mixture_chain_rule_on_long_pasts(max_order):
+    # the rational oracle stops at 24 symbols; this reaches benchmark lengths
+    _assert_chain_rule(FiniteOrderMixture(max_order),
+                       CoinFlipSource(3).prefix_array(2000).tolist())
+    x = adversarial_sequence(FiniteOrderMixture(max_order), 2000).tolist()
+    _assert_chain_rule(FiniteOrderMixture(max_order), x)
+
+
 def test_mixture_refuses_large_order():
     with pytest.raises(ValueError):
         FiniteOrderMixture(17)

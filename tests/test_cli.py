@@ -121,6 +121,15 @@ def test_theorem1_inf_serialized_as_string(tmp_path, capsys):
     assert summary["rho_cesaro_final"] == "inf"
 
 
+def test_theorem1_reports_adversary_symbols_built(tmp_path, capsys):
+    # the tracking measure at J = 200 reads the sequence up to J + 64
+    code, _ = run_cli(capsys, "theorem1", "--rho", "mix:3", "-n", "20",
+                      "--trunc", "200", "--out", str(tmp_path / "m"))
+    assert code == 0
+    summary = json.loads((tmp_path / "m" / "summary.json").read_text())
+    assert summary["adversary_symbols_built"] == 264
+
+
 def test_ergodicity_frequencies(capsys):
     code, out = run_cli(capsys, "ergodicity", "--target", "periodic:01",
                         "-n", "100000", "--seed", "3")
