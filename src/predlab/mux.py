@@ -147,11 +147,11 @@ def _log2_out(x: float, up: bool, scale: float = 0.0) -> float:
 
 
 def _as_range(origins: np.ndarray):
-    """Evenly spaced origins as a range, others unchanged; O(len)."""
+    """Evenly spaced origins as a range, others unchanged; O(len), or O(1) by the ends."""
     if not len(origins):
         return _NO_ORIGINS
     step = int(origins[1] - origins[0]) if len(origins) > 1 else 1
-    if (np.diff(origins) == step).all():
+    if origins[-1] - origins[0] == step * (len(origins) - 1) and (np.diff(origins) == step).all():
         return range(int(origins[0]), int(origins[-1]) + 1, step)
     return origins
 
@@ -258,6 +258,8 @@ class MuX:
         # stride -> its class tables at the current capacity (_class_tables)
         self._classes: dict[int, tuple] = {}
         self._initial_total: float | None = None
+        # (y, step) -> _shared(y, step): the first steps every past shares
+        self._first: dict[tuple, ForwardState | Transition] = {}
 
     # -- cached tables --------------------------------------------------------
 
@@ -314,6 +316,20 @@ class MuX:
         return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
                             roundings=_INIT_ROUNDINGS,
                             total=self._initial_total, origins=origins)
+
+    def _shared(self, y: tuple, step: bool = False):
+        """The state after y, a word of at most one symbol, or with ``step``
+        its Transition.  Every past on this MuX shares them, so each is built
+        on first use and kept, with its arrays made read-only."""
+        if (y, step) not in self._first:
+            new = (self.propagate(self._shared(y)) if step
+                   else self.advance(self._shared(()), y[0], self._shared((), True)) if y
+                   else self.initial_state())
+            for a in new if step else vars(new).values():
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._first[y, step] = new
+        return self._first[y, step]
 
     def propagate(self, state: ForwardState) -> Transition:
         """One transition step without emission commitment: the alive states
@@ -458,9 +474,10 @@ class MuX:
         return new
 
     def forward(self, y: Word) -> ForwardState:
-        state = self.initial_state()
-        for s in y:
-            state = self.advance(state, s)
+        y = tuple(y)
+        state = self._shared(y[:1])
+        for i, s in enumerate(y[1:]):
+            state = self.advance(state, s, None if i else self._shared(y[:1], True))
         return state
 
     # -- queries --------------------------------------------------------------
@@ -479,8 +496,9 @@ class MuX:
         enclosures are vacuous ([0, 1]); if even the upper bound of the past
         marginal is zero the conditioning is impossible.
         """
-        state = self.forward(tuple(past))
-        return self._conditional_intervals(state, self.propagate(state))
+        state = self.forward(past)
+        step = self._shared(tuple(past), True) if len(past) < 2 else self.propagate(state)
+        return self._conditional_intervals(state, step)
 
     def _conditional_intervals(
         self, state: ForwardState, step: Transition
@@ -546,11 +564,15 @@ class MuxPredictor(Predictor):
 
     ``last_interval_width`` records the enclosure width of the most recent
     prediction for diagnostic logging.
+
+    Its first two steps, O(J) and up to O(J/2), are the same on every past,
+    so it reads them from the MuX, which builds them once (``MuX._shared``).
     """
 
     def __init__(self, mux: MuX) -> None:
         self.mux = mux
-        self._state = mux.initial_state()
+        self._state = mux._shared(())
+        self._shared_past: tuple | None = ()  # the past while the MuX shares its state
         self._initial_log2_mass = self._state.log2_mass()
         self._dead = False
         self._cache: Transition | None = None
@@ -568,7 +590,8 @@ class MuxPredictor(Predictor):
 
     def _propagated(self) -> Transition:
         if self._cache is None:
-            self._cache = self.mux.propagate(self._state)
+            self._cache = (self.mux.propagate(self._state) if self._shared_past is None
+                           else self.mux._shared(self._shared_past, True))
         return self._cache
 
     def predict(self) -> tuple[float, float]:
@@ -593,7 +616,9 @@ class MuxPredictor(Predictor):
         if step.s0 + step.s1 <= 0.0:
             self._dead = True
             return
-        self._state = self.mux.advance(self._state, symbol, step)
+        self._shared_past = (symbol,) if self._shared_past == () else None
+        self._state = (self.mux._shared(self._shared_past) if self._shared_past
+                       else self.mux.advance(self._state, symbol, step))
         if (step.s1 if symbol else step.s0) <= 0.0:
             self._dead = True
 

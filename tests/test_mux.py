@@ -14,12 +14,14 @@ from predlab import (
     ChampernowneSource,
     CoinFlipSource,
     FileSource,
+    KTPredictor,
     MuX,
     PeriodicSource,
     SequenceSource,
     SourceExhaustedError,
     brute_force_marginal,
     dirac_kl,
+    expected_kl,
     log_loss_bound,
     parse_bits,
     stationarity_window_check,
@@ -212,6 +214,123 @@ def test_interval_width_logged():
     pred = mux.predictor()
     pred.predict()
     assert 0.0 < pred.last_interval_width <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the first steps that a MuX shares
+# ---------------------------------------------------------------------------
+
+SHARED_SPECS = ["coin:5", "periodic:01", "champernowne", "periodic:0"]
+
+
+def _predictor_run(mux, y):
+    pred, out = mux.predictor(), []
+    for s in y:
+        out.append(repr((pred.predict(), pred.last_interval_width, pred.log2_mass())))
+        pred.observe(s)
+    return out + [repr(pred.log2_mass())]
+
+
+def _unshared_run(mux, y):
+    # the predictor's outputs from initial_state, propagate and advance,
+    # which share nothing; a past of zero tracked mass predicts uniformly
+    state, out = mux.initial_state(), []
+    for s in y:
+        if state.total <= 0.0:
+            out.append(repr(((0.5, 0.5), 1.0, state.log2_mass())))
+            continue
+        step = mux.propagate(state)
+        p1 = step.s1 / (step.s0 + step.s1)
+        width = mux._conditional_intervals(state, step)[0].width
+        out.append(repr(((1.0 - p1, p1), width, state.log2_mass())))
+        state = mux.advance(state, s, step)
+    return out + [repr(state.log2_mass())]
+
+
+QUERY_LENGTHS = (1, 2, 3, 30)
+
+
+def _queries(mux, y):
+    return [repr((mux.marginal(y[:k]), mux.conditional_next(y[:k - 1])))
+            for k in QUERY_LENGTHS]
+
+
+def _unshared_queries(mux, y):
+    states = [mux.initial_state()]
+    for s in y:
+        states.append(mux.advance(states[-1], s))
+    return [repr((states[k].interval(), mux._conditional_intervals(
+        states[k - 1], mux.propagate(states[k - 1])))) for k in QUERY_LENGTHS]
+
+
+@pytest.mark.parametrize("spec", SHARED_SPECS)
+@pytest.mark.parametrize("first", [0, 1])
+def test_shared_first_steps_give_the_fresh_outputs(spec, first):
+    # periodic:0 dies on a first 1 (the dead path); the other specs keep a
+    # range (periodic:01) or an index array (coin, champernowne) after it
+    y = (first,) + tuple(int(b) for b in parse_source_spec(spec).prefix_array(30)[1:])
+    warm = MuX(parse_source_spec(spec), ChainSpec(10_000))
+    runs = [_predictor_run(warm, y) for _ in range(3)]
+    fresh = _predictor_run(MuX(parse_source_spec(spec), ChainSpec(10_000)), y)
+    assert runs[1] == fresh and runs[2] == fresh
+    assert fresh == _unshared_run(MuX(parse_source_spec(spec), ChainSpec(10_000)), y)
+    cold = _queries(MuX(parse_source_spec(spec), ChainSpec(10_000)), y)
+    assert _queries(warm, y) == cold
+    assert _queries(warm, y) == cold  # a second round reads the shared steps
+    assert cold == _unshared_queries(MuX(parse_source_spec(spec), ChainSpec(10_000)), y)
+
+
+def test_first_step_is_propagated_once_per_mux(monkeypatch):
+    propagate, calls = MuX.propagate, []
+
+    def counted(self, state):
+        calls.append(state.t)
+        return propagate(self, state)
+
+    monkeypatch.setattr(MuX, "propagate", counted)
+    mux = MuX(parse_source_spec("coin:5"), ChainSpec(10_000))
+    for _ in range(5):
+        pred = mux.predictor()
+        for s in (1, 0, 1):
+            pred.predict()
+            pred.observe(s)
+    mux.marginal((0, 1))
+    mux.conditional_next((1,))
+    expected_kl(mux, KTPredictor(), n=20, num_samples=5)
+    assert calls.count(0) == 1
+    # the shared arrays are read-only, so no later step can change them
+    arrays = [a for v in mux._first.values()
+              for a in (v if isinstance(v, tuple) else vars(v).values())
+              if isinstance(a, np.ndarray)]
+    assert len(mux._first) == 6 and len(arrays) >= 10
+    assert not any(a.flags.writeable for a in arrays)
+    for a in arrays:
+        if len(a):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+
+def test_exhausted_first_steps_leave_nothing_shared():
+    # shorter than J: the tables cannot be built, for any predictor
+    mux = MuX(_FiniteSource(CoinFlipSource(3), 50), ChainSpec(100))
+    for _ in range(2):
+        with pytest.raises(SourceExhaustedError, match="only 50"):
+            mux.predictor()
+        assert mux._first == {} and mux._cap == 0
+    # exactly J: the step after a first symbol emitted by state J needs
+    # state J + 1, so it fails where it did before sharing, at that predict
+    src = _FiniteSource(CoinFlipSource(3), 100)
+    s = int(src.prefix_array(100)[-1])
+    mux = MuX(src, ChainSpec(100))
+    for _ in range(2):
+        pred = mux.predictor()
+        pred.predict()
+        pred.observe(s)
+        with pytest.raises(SourceExhaustedError, match="only 100"):
+            pred.predict()
+        assert ((s,), True) not in mux._first
+    with pytest.raises(SourceExhaustedError, match="only 100"):
+        mux.conditional_next((s,))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +758,7 @@ def test_range_step_counts_the_roundings_of_its_run(stride):
 
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
 @example([1, 3, 4, 7])  # even ends, uneven inside
+@example([1, 3, 5, 8])  # even start, the ends rule it out
 def test_evenly_spaced_origins_become_a_range(values):
     origins = np.array(sorted(values), dtype=np.int64)
     got = _as_range(origins)
