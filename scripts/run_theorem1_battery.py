@@ -22,15 +22,15 @@ def run(out_root: Path, n: int, trunc: int) -> int:
     failed = 0
     for spec in BATTERY:
         out_dir = out_root / spec.replace(":", "_")
-        start = time.monotonic()
+        start = time.perf_counter()
         code = cli_main([
             "theorem1", "--rho", spec, "-n", str(n), "--trunc", str(trunc),
             "--out", str(out_dir),
         ])
-        elapsed = time.monotonic() - start
+        elapsed_ms = (time.perf_counter() - start) * 1e3
         status = "ok" if code == 0 else f"exit {code}"
         failed += code != 0
-        print(f"[{spec}] {status} in {elapsed:.1f}s -> {out_dir}")
+        print(f"[{spec}] {status} in {elapsed_ms:.0f} ms -> {out_dir}")
     return failed
 
 

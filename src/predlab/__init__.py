@@ -39,7 +39,6 @@ from .core import (
     SourceExhaustedError,
     Symbol,
     Word,
-    complement,
     format_bits,
     log2_prob,
     log2_sum,
@@ -78,8 +77,7 @@ __all__ = [
     "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource", "DiracPredictor",
     "FileSource", "LogInterval", "PeriodicSource", "Predictor",
     "SequenceSource", "SourceExhaustedError", "Symbol", "Word",
-    "complement", "format_bits", "log2_prob", "log2_sum", "parse_bits",
-    "prob",
+    "format_bits", "log2_prob", "log2_sum", "parse_bits", "prob",
     "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
     "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
     "window_distribution", "word_frequency",

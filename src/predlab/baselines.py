@@ -16,11 +16,6 @@ from .core import Predictor, Symbol, validate_symbol
 MAX_MIXTURE_ORDER = 16
 
 
-def _last(code: int, k: int) -> int:
-    """The code of the last k symbols of a coded word (all of it if shorter)."""
-    return code if code < 2 << k else (1 << k) | (code & ((1 << k) - 1))
-
-
 class UniformPredictor(Predictor):
     """P(0) = P(1) = 1/2 for every past."""
 
@@ -67,6 +62,9 @@ class FiniteOrderMixture(Predictor):
     joint therefore dominates every component: cumulative mixture loss never
     exceeds a component's cumulative loss plus -log2 w_k.
 
+    ``observe`` forms each order's conditional in its new context, once per
+    step, into the list that ``predict`` reads.
+
     The posterior is computed in Python floats over the K + 1 log2 terms
     (shifted by their max, raised to powers of 2, normalised), so a
     conditional may differ from a numpy evaluation in the last bit; the
@@ -90,18 +88,11 @@ class FiniteOrderMixture(Predictor):
         # counts[k][2 c + s]: how often s followed the order-k context coded c
         self._counts = [[0] * (4 << k) for k in range(max_order + 1)]
         self._contexts = [1] * (max_order + 1)  # all empty
-        self._p1: list[float] | None = None  # component P(next=1), this step
+        # each order's P(next=1) in its current context, formed in observe
+        self._p1 = [0.5] * (max_order + 1)
 
     def fresh(self) -> "FiniteOrderMixture":
         return FiniteOrderMixture(self.max_order)
-
-    def _component_p1(self) -> list[float]:
-        if self._p1 is None:
-            self._p1 = []
-            for counts, c in zip(self._counts, self._contexts):
-                n0, n1 = counts[2 * c], counts[2 * c + 1]
-                self._p1.append((n1 + 0.5) / (n0 + n1 + 1))
-        return self._p1
 
     def _log2_terms(self) -> list[float]:
         """log2 w_k + log2 mu_k(past), one entry per order."""
@@ -112,19 +103,24 @@ class FiniteOrderMixture(Predictor):
         m = max(a)
         g = [2.0 ** (x - m) for x in a]
         total = sum(g)
-        p1 = sum(gk / total * pk for gk, pk in zip(g, self._component_p1()))
+        p1 = sum([gk / total * pk for gk, pk in zip(g, self._p1)])
         p1 = min(max(p1, 0.0), 1.0)
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        joints, contexts = self.log2_joints, self._contexts
-        for k, (p1, c, counts) in enumerate(
-                zip(self._component_p1(), contexts, self._counts)):
+        joints, contexts, p1s = self.log2_joints, self._contexts, self._p1
+        for k, counts in enumerate(self._counts):
+            p1 = p1s[k]
             joints[k] += math.log2(p1 if symbol else 1.0 - p1)
+            c = contexts[k]
             counts[2 * c + symbol] += 1
-            contexts[k] = _last(c << 1 | symbol, k)
-        self._p1 = None
+            c = c << 1 | symbol
+            if c >= 2 << k:  # k + 1 symbols: drop the oldest, keep the marker
+                c = (c - (2 << k)) | 1 << k
+            contexts[k] = c
+            n0, n1 = counts[2 * c], counts[2 * c + 1]
+            p1s[k] = (n1 + 0.5) / (n0 + n1 + 1)
 
     def log2_joint(self) -> float:
         """log2 of the mixture probability of the observed past."""

@@ -38,10 +38,6 @@ def validate_symbol(s: int) -> int:
     return s
 
 
-def complement(s: Symbol) -> Symbol:
-    return 1 - validate_symbol(s)
-
-
 def parse_bits(text: str) -> Word:
     """Parse a bitstring like '0101' into a Word; rejects other characters."""
     word = []

@@ -11,7 +11,6 @@ Cesaro averages containing it are themselves inf.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,19 +82,24 @@ class LossTrace:
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under a header, one row per index.  Floats
+    """Write equal-length columns under a header, one row per index, in one
+    write.  The bytes are those of ``csv.writer`` (excel dialect: "," between
+    fields, "\r\n" after each row), since no field needs quoting: floats
     print as ``str(float)``, which equals ``repr(float)``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    cells = [map(str, c.tolist()) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
     with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(zip(*(c.tolist() for c in columns), strict=True))
+        f.write("\r\n".join(lines))
 
 
 def write_tidy_csv(path, series: dict[str, np.ndarray]) -> None:
     """Plot-ready long format: one row per (t, metric, value), t = 1..len
-    within each metric."""
+    within each metric.  A metric name that CSV would quote is refused."""
+    quoted = [m for m in series if any(ch in m for ch in ',"\r\n')]
+    if quoted:
+        raise ValueError(f"metric names must not contain , \" or line breaks: {quoted}")
     lengths = [len(v) for v in series.values()]
     _write_csv(path, ["t", "metric", "value"], [
         np.concatenate([np.arange(1, n + 1) for n in lengths]),

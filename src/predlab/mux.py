@@ -266,10 +266,13 @@ class MuX:
     def _ensure_tables(self, size: int) -> None:
         """The emission table for states 1..size; the source must serve
         indices up to size or this raises its exhaustion error.  Growing it
-        drops the class tables, which are rebuilt on their next use."""
+        drops the class tables, which are rebuilt on their next use.  It
+        grows by at least an eighth, so those O(capacity) rebuilds cost O(1)
+        per state amortised, and the source serves at most about an eighth
+        more symbols than the frontier reads."""
         if size <= self._cap:
             return
-        new_cap = max(size, 2 * self._cap, self.chain.truncation_level + 64)
+        new_cap = max(size, -(-9 * self._cap // 8), self.chain.truncation_level + 64)
         try:
             emis = self.source.prefix_array(new_cap)
         except SourceExhaustedError:
@@ -500,9 +503,9 @@ class MuX:
         step = self._shared(tuple(past), True) if len(past) < 2 else self.propagate(state)
         return self._conditional_intervals(state, step)
 
-    def _conditional_intervals(
-        self, state: ForwardState, step: Transition
-    ) -> tuple[LogInterval, LogInterval]:
+    def _conditional_intervals(self, state: ForwardState, step: Transition,
+                               symbols=(0, 1)) -> tuple[LogInterval, ...]:
+        """The enclosures of the conditionals of ``symbols`` after ``state``."""
         den = step.s0 + step.s1
         d = state.dropped_mass
         if den <= 0.0 and d <= 0.0:
@@ -519,13 +522,14 @@ class MuX:
         den_lower = den * (1.0 - r)
         den_upper = den * (1.0 + r) + d_scaled
         out = []
-        for s_a in (step.s0, step.s1):
+        for a in symbols:
+            s_a = step.s1 if a else step.s0
             lo = _log2_out(s_a * (1.0 - r) / den_upper, False)
             hi = 0.0
             if den_lower > 0.0:
                 hi = min(0.0, _log2_out((s_a * (1.0 + r) + d_scaled) / den_lower, True))
             out.append(LogInterval(min(lo, hi), hi))
-        return out[0], out[1]
+        return tuple(out)
 
     # -- views ---------------------------------------------------------------
 
@@ -600,7 +604,7 @@ class MuxPredictor(Predictor):
             return (0.5, 0.5)
         step = self._propagated()
         den = step.s0 + step.s1
-        i0, _ = self.mux._conditional_intervals(self._state, step)
+        i0, = self.mux._conditional_intervals(self._state, step, (0,))
         self.last_interval_width = i0.width
         if den <= 0.0:
             return (0.5, 0.5)

@@ -130,6 +130,17 @@ def test_theorem1_reports_adversary_symbols_built(tmp_path, capsys):
     assert summary["adversary_symbols_built"] == 264
 
 
+@pytest.mark.parametrize("rho", ["uniform", "kt"])
+def test_theorem1_adversary_builds_an_eighth_past_the_first_table(tmp_path, capsys, rho):
+    # these sequences keep the never-reset block alive, so the tables grow
+    # once past J + 64, by an eighth: 10,064 + 1,258 symbols
+    code, _ = run_cli(capsys, "theorem1", "--rho", rho, "-n", "500",
+                      "--trunc", "10000", "--out", str(tmp_path / "r"))
+    assert code == 0
+    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert summary["adversary_symbols_built"] == 11_322
+
+
 def test_ergodicity_frequencies(capsys):
     code, out = run_cli(capsys, "ergodicity", "--target", "periodic:01",
                         "-n", "100000", "--seed", "3")

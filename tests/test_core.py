@@ -18,7 +18,6 @@ from predlab import (
     LogInterval,
     PeriodicSource,
     SourceExhaustedError,
-    complement,
     format_bits,
     log2_prob,
     log2_sum,
@@ -39,18 +38,6 @@ def test_star_import_exposes_no_modules():
     exec("from predlab import *", namespace)
     assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert "MuX" in namespace and "sample_path" in namespace
-
-
-@given(st.integers(0, 1))
-def test_complement_involution(s):
-    assert complement(complement(s)) == s
-    assert complement(s) in (0, 1)
-    assert complement(s) != s
-
-
-def test_complement_rejects_nonsymbols():
-    with pytest.raises(ValueError):
-        complement(2)
 
 
 @given(words)

@@ -196,6 +196,13 @@ def test_csv_writers_match_per_row_repr_reference(tmp_path):
         (tmp_path / "tidy_ref.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["a,b", 'say "x"', "a\rb", "a\nb"])
+def test_tidy_csv_refuses_metric_names_csv_would_quote(tmp_path, name):
+    with pytest.raises(ValueError, match="metric names"):
+        write_tidy_csv(tmp_path / "tidy.csv", {"ok": np.ones(2), name: np.ones(2)})
+    assert not (tmp_path / "tidy.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # expected KL
 # ---------------------------------------------------------------------------

@@ -626,7 +626,7 @@ def test_forward_state_blocks_match_dense_recursion():
 @pytest.mark.parametrize("pattern", ["0", "01"])
 def test_range_steps_that_do_not_split_use_the_class_tables(monkeypatch, pattern):
     # periodic:0 keeps a stride-1 range and periodic:01 a stride-2 one; the
-    # 100 steps cross the capacity doubling at J + 64, which rebuilds them
+    # 100 steps cross the capacity growth at J + 64, which rebuilds them
     direct, fallbacks = MuX._direct_sums, []
 
     def counted(self, o, t):
@@ -784,17 +784,19 @@ def test_forward_states_are_sparse_and_sorted():
 
 
 class _RecordingSource(SequenceSource):
-    """Passes through to ``inner`` and records the largest prefix request."""
+    """Passes through to ``inner`` and records its prefix requests."""
 
     def __init__(self, inner):
         self.inner = inner
         self.largest_prefix = 0
+        self.requests = []
 
     def symbol_at(self, t):
         return self.inner.symbol_at(t)
 
     def prefix_array(self, n):
         self.largest_prefix = max(self.largest_prefix, n)
+        self.requests.append(n)
         return self.inner.prefix_array(n)
 
 
@@ -811,6 +813,45 @@ def test_tables_follow_the_largest_alive_state(spec):
     assert src.largest_prefix <= 1000 + 64
 
 
+def test_table_capacity_grows_by_an_eighth():
+    # periodic:0 keeps its never-reset range alive, so the tables follow the
+    # frontier J + t: each growth adds at least an eighth of the capacity
+    # (so there are O(log) rebuilds), and none reads more than an eighth
+    # past the frontier
+    J, steps = 1000, 3000
+    src = _RecordingSource(PeriodicSource("0"))
+    mux = MuX(src, ChainSpec(J))
+    pred, caps, asked = mux.predictor(), [mux._cap], [(0, n) for n in src.requests]
+    for t in range(steps):
+        seen = len(src.requests)
+        pred.predict()
+        pred.observe(0)
+        asked += [(t, n) for n in src.requests[seen:]]
+        if mux._cap != caps[-1]:
+            caps.append(mux._cap)
+    assert isinstance(pred._state.origins, range) and len(pred._state.origins) == J
+    assert caps[0] == J + 64 and caps[-1] >= J + steps
+    assert all(8 * b >= 9 * a for a, b in zip(caps, caps[1:]))
+    # the first table counts as one growth
+    assert len(caps) <= math.ceil(math.log((J + steps) / (J + 64), 9 / 8)) + 1
+    assert all(n <= max(J + 64, 9 / 8 * (J + t) + 1) for t, n in asked)
+
+
+LOGGED_WIDTH_TARGETS = [(src.spec, None) for src in corpus_sources()] + [("periodic:0", 1)]
+
+
+@pytest.mark.parametrize("spec, first", LOGGED_WIDTH_TARGETS)
+def test_logged_width_is_the_next_zero_enclosure_width(spec, first):
+    # the target's own prefix, or with a first 1 periodic:0's dead past
+    y = [int(b) for b in parse_source_spec(spec).prefix_array(100)]
+    if first is not None:
+        y[0] = first
+    mux = MuX(parse_source_spec(spec), ChainSpec(10_000))
+    pred = mux.predictor()
+    for t, s in enumerate(y):
+        pred.predict()
+        assert repr(pred.last_interval_width) == repr(mux.conditional_next(y[:t])[0].width)
+        pred.observe(s)
 def test_fields_read_by_the_benchmark_trace():
     # the traced benchmark run (perfbench/tracing.py) reads these names
     mux = mux01(100)
