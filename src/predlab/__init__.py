@@ -40,7 +40,6 @@ from .core import (
     Symbol,
     Word,
     format_bits,
-    log2_prob,
     log2_sum,
     parse_bits,
     prob,
@@ -77,7 +76,7 @@ __all__ = [
     "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource", "DiracPredictor",
     "FileSource", "LogInterval", "PeriodicSource", "Predictor",
     "SequenceSource", "SourceExhaustedError", "Symbol", "Word",
-    "format_bits", "log2_prob", "log2_sum", "parse_bits", "prob",
+    "format_bits", "log2_sum", "parse_bits", "prob",
     "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
     "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
     "window_distribution", "word_frequency",

@@ -37,12 +37,13 @@ class AdversarialSource(SequenceSource):
         self._picked_probs: list[float] = []
 
     def _extend_to(self, n: int) -> None:
-        while len(self._symbols) < n:
-            p0, p1 = self._rho.predict()
+        symbols, picked, rho = self._symbols, self._picked_probs, self._rho
+        for _ in range(n - len(symbols)):
+            p0, p1 = rho.predict()
             pick: Symbol = 0 if p0 <= p1 else 1
-            self._symbols.append(pick)
-            self._picked_probs.append(p0 if pick == 0 else p1)
-            self._rho.observe(pick)
+            symbols.append(pick)
+            picked.append(p0 if pick == 0 else p1)
+            rho.observe(pick)
 
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:
@@ -80,10 +81,6 @@ class AdversarialRun:
     bound_per_step: np.ndarray    # log_loss_bound(t) / t for t = 1..n
     mux_widths: np.ndarray        # conditional enclosure widths, logged
     symbols_built: int            # symbols the adversary extended to
-
-    @property
-    def horizon(self) -> int:
-        return len(self.sequence)
 
 
 def theorem1_experiment(

@@ -98,11 +98,6 @@ class StatePath:
     """A sampled trajectory of the chain."""
 
     states: np.ndarray
-    origin: str  # "stationary" or "fixed:<j>"
-    seed: int | None = None
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def sample_stationary_state(rng: np.random.Generator) -> int:
@@ -123,12 +118,10 @@ def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
     rng = np.random.default_rng(seed)
     if start is None:
         j0 = sample_stationary_state(rng)
-        origin = "stationary"
+    elif start < 1:
+        raise ValueError("fixed start state must be >= 1")
     else:
-        if start < 1:
-            raise ValueError("fixed start state must be >= 1")
         j0 = start
-        origin = f"fixed:{start}"
     # first run j0, j0+1, ...: k more up-moves with P(>= k) = j0^2/(j0+k)^2
     k0 = math.floor(j0 * ((1.0 - rng.random()) ** -0.5 - 1.0))
     first = min(k0 + 1, n)
@@ -147,7 +140,7 @@ def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
     np.maximum.accumulate(run_start, out=run_start)
     states = np.arange(1, n + 1, dtype=np.int64) - run_start
     states[:first] += j0 - 1
-    return StatePath(states=states, origin=origin, seed=seed)
+    return StatePath(states=states)
 
 
 def chain_info(max_n: int, trunc: int) -> dict:
@@ -168,6 +161,6 @@ def chain_info(max_n: int, trunc: int) -> dict:
             "upper": mrt + remainder,
         },
         "first_return_partial_sum": return_prob_partial_sum(trunc),
-        "tail_mass_bound": PI1 / trunc,
+        "tail_mass_bound": ChainSpec(trunc).tail_mass_bound,
         "trunc": trunc,
     }

@@ -14,7 +14,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,14 +52,6 @@ def parse_bits(text: str) -> Word:
 
 def format_bits(word) -> str:
     return "".join("1" if s else "0" for s in word)
-
-
-def log2_prob(p: float) -> float:
-    """Probability -> log2, mapping 0 to IMPOSSIBLE and a p rounded just
-    past 1 (within 1e-12) to 0."""
-    if not 0.0 <= p <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"not a probability: {p!r}")
-    return min(0.0, math.log2(p)) if p > 0.0 else IMPOSSIBLE
 
 
 def prob(log2_p: float) -> float:
@@ -107,10 +98,6 @@ class LogInterval:
         if self.width_prob is not None:
             return self.width_prob
         return self.upper_prob - self.lower_prob
-
-    @property
-    def midpoint_prob(self) -> float:
-        return 0.5 * (self.lower_prob + self.upper_prob)
 
     def contains(self, p: float, slack: float = 0.0) -> bool:
         return self.lower_prob - slack <= p <= self.upper_prob + slack
@@ -297,9 +284,6 @@ class FileSource(SequenceSource):
         for line in self.path.read_text(encoding="ascii").splitlines():
             bits.extend(parse_bits(line))
         self._bits = np.asarray(bits, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return len(self._bits)
 
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:

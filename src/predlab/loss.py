@@ -1,8 +1,8 @@
 """Prediction-quality functionals: cumulative log2 (KL) loss along a fixed
 sequence, Monte-Carlo expected KL between measures, bounded absolute and
-squared per-step losses with Cesaro averages, empirical word frequencies
-(all window statistics come from one window count, k <= MAX_WINDOW), and the
-CSV artifacts (all written by one CSV writer).
+squared per-step losses with Cesaro averages, word frequencies and window
+distributions (all read from one window count, word length k <= MAX_WINDOW),
+and the CSV artifacts (all written by one CSV writer).
 
 A per-step loss of +inf (the predictor assigned probability zero to the
 realized symbol) is recorded as the float inf sentinel; cumulative sums and
@@ -211,23 +211,6 @@ class DiracMeasure:
         return self.source.prefix_array(n)
 
 
-def word_frequency(w: Word, seq) -> float:
-    """Frequency of overlapping occurrences of w among the |seq|-|w|+1
-    windows of seq."""
-    w = tuple(validate_symbol(s) for s in w)
-    if len(w) < 1:
-        raise ValueError("pattern must be nonempty")
-    seq = np.asarray(seq, dtype=np.uint8)
-    if len(seq) < len(w):
-        raise ValueError("sequence shorter than pattern")
-    k = len(w)
-    windows = len(seq) - k + 1
-    hits = np.ones(windows, dtype=bool)
-    for i, s in enumerate(w):
-        hits &= seq[i : i + windows] == s
-    return float(np.count_nonzero(hits)) / windows
-
-
 #: largest k for the counted window statistics: they hold 2^k bins
 MAX_WINDOW = 16
 
@@ -265,6 +248,18 @@ def window_distribution(seq, k: int, start: int, stride: int) -> dict[Word, floa
         raise ValueError("sequence too short for any window")
     present = np.flatnonzero(counts)
     return dict(zip(_code_words(present, k), (counts[present] / total).tolist()))
+
+
+def word_frequency(w: Word, seq) -> float:
+    """Frequency of overlapping occurrences of w among the |seq|-|w|+1
+    windows of seq, for 1 <= |w| <= MAX_WINDOW."""
+    code = 0  # w as a |w|-bit code, first symbol most significant
+    for s in w:
+        code = 2 * code + validate_symbol(s)
+    if len(seq) < len(w):
+        raise ValueError("sequence shorter than pattern")
+    counts = _window_counts(seq, len(w))
+    return float(counts[code] / counts.sum())
 
 
 def stationarity_window_check(

@@ -90,7 +90,7 @@ def test_theorem1_invariants_for_kt():
     assert (run.rho_trace.kl_bits >= 1.0).all()
     assert (run.rho_trace.cesaro_kl >= 1.0).all()
     cum = run.mux_trace.cum_kl_bits
-    for t in range(1, run.horizon + 1):
+    for t in range(1, len(run.sequence) + 1):
         assert float(cum[t - 1]) <= log_loss_bound(t) + 1e-6
     assert (run.mux_widths >= 0.0).all()
     assert (run.mux_widths <= 1.0).all()

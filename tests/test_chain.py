@@ -143,14 +143,12 @@ def test_tail_mass_bound():
 def test_sample_path_single_step_fixed_start():
     path = sample_path(1, seed=0, start=1)
     assert list(path.states) == [1]
-    assert path.origin == "fixed:1"
 
 
 def test_sample_path_deterministic():
     a = sample_path(5000, seed=42)
     b = sample_path(5000, seed=42)
     assert np.array_equal(a.states, b.states)
-    assert a.origin == "stationary"
 
 
 @given(st.integers(min_value=0, max_value=50))

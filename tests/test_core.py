@@ -19,7 +19,6 @@ from predlab import (
     PeriodicSource,
     SourceExhaustedError,
     format_bits,
-    log2_prob,
     log2_sum,
     parse_bits,
     prob,
@@ -55,41 +54,19 @@ def test_parse_bits_rejects_junk():
 # ---------------------------------------------------------------------------
 
 
-def test_log2_prob_roundtrip():
-    for p in (1.0, 0.5, 0.25, 1e-9):
-        assert prob(log2_prob(p)) == pytest.approx(p, rel=1e-15)
-    assert log2_prob(0.0) == IMPOSSIBLE
-    assert prob(IMPOSSIBLE) == 0.0
-    with pytest.raises(ValueError):
-        log2_prob(-0.1)
-
-
-def test_log2_prob_rejects_nan():
-    with pytest.raises(ValueError, match="not a probability"):
-        log2_prob(math.nan)
-
-
-def test_log2_prob_is_never_positive():
-    # a probability rounded just past 1, within the accepted tolerance
-    for p in (1.0 + 1e-13, 1.0 + 1e-12, math.nextafter(1.0, 2.0)):
-        assert log2_prob(p) == 0.0
-    with pytest.raises(ValueError):
-        log2_prob(1.0 + 1e-11)
-
-
 def test_impossible_saturates():
     # sum with impossible is the identity
     assert log2_sum(IMPOSSIBLE, -3.0) == -3.0
     assert log2_sum(-1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
+    assert prob(IMPOSSIBLE) == 0.0
 
 
 def test_log_interval_invariants():
-    iv = LogInterval(log2_prob(0.25), log2_prob(0.375))
+    iv = LogInterval(math.log2(0.25), math.log2(0.375))
     assert iv.lower_log2 <= iv.upper_log2
     assert iv.width == pytest.approx(0.125, rel=1e-12)
     assert iv.contains(0.3)
     assert not iv.contains(0.5)
-    assert iv.midpoint_prob == pytest.approx(0.3125, rel=1e-12)
     with pytest.raises(ValueError):
         LogInterval(-1.0, -2.0)
 

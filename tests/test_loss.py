@@ -278,6 +278,8 @@ def test_word_frequency_domain_errors():
         word_frequency((), (0, 1))
     with pytest.raises(ValueError):
         word_frequency((0, 1, 0), (0, 1))
+    with pytest.raises(ValueError, match="window length"):
+        word_frequency((0,) * (MAX_WINDOW + 1), (0,) * 40)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=3).map(tuple),

@@ -388,7 +388,7 @@ def test_sample_trajectory_word_frequency_matches_marginal():
     mux = mux01(2000)
     traj = mux.sample_trajectory(10**5, seed=4)
     iv = mux.marginal((0, 0))
-    assert word_frequency((0, 0), traj) == pytest.approx(iv.midpoint_prob, abs=0.02)
+    assert word_frequency((0, 0), traj) == pytest.approx(iv.lower_prob, abs=0.02)
 
 
 def test_stationarity_windows():

@@ -30,10 +30,14 @@ import tracing
 from predlab import cli
 tracer = tracing.Tracer()
 tracer.install()
-code = cli.main(["theorem1", "--rho", "mix:3", "-n", "20", "--trunc", "200",
-                 "--out", sys.argv[2]])
+codes = [
+    cli.main(["theorem1", "--rho", "mix:3", "-n", "20", "--trunc", "200",
+              "--out", sys.argv[2]]),
+    cli.main(["ergodicity", "--target", "periodic:01", "-n", "2000",
+              "--seed", "3"]),
+]
 calls = {name: n for name, (n, _) in tracer.self_times().items()}
-print(json.dumps({"code": code, "calls": calls}))
+print(json.dumps({"codes": codes, "calls": calls}))
 """
 
 
@@ -43,10 +47,13 @@ def test_traced_benchmark_still_wraps_the_baselines(tmp_path):
                       str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
-    assert result["calls"]["cli.main"] == 1
+    assert result["codes"] == [0, 0]
+    assert result["calls"]["cli.main"] == 2
     assert result["calls"]["baselines.predict"] > 0
     assert result["calls"]["baselines.observe"] > 0
+    # ergodicity reads sample_path's .states and the word statistics
+    assert result["calls"]["chain.sample_path"] >= 1
+    assert result["calls"]["loss.word_stats"] >= 1
 
 
 def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
