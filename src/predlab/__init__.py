@@ -57,7 +57,6 @@ from .loss import (
 )
 from .mux import (
     ForwardState,
-    ImpossiblePastError,
     MuX,
     MuxPredictor,
     brute_force_marginal,
@@ -80,7 +79,7 @@ __all__ = [
     "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
     "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
     "window_distribution", "word_frequency",
-    "ForwardState", "ImpossiblePastError", "MuX", "MuxPredictor",
+    "ForwardState", "MuX", "MuxPredictor",
     "brute_force_marginal", "log_loss_bound",
 ]
 __version__ = "0.1.0"

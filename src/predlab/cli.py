@@ -2,8 +2,7 @@
 adversarial head-to-heads, and ergodicity checks.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric-budget failure
-(an enclosure wider than the requested budget, or conditioning that the
-configured truncation cannot support).
+(an enclosure wider than the requested budget).
 
 Spec grammars (kept out of the library API):
   source-spec     periodic:<bits> | champernowne | coin:<seed> | file:<path>
@@ -35,7 +34,7 @@ from .core import (
     parse_bits,
     format_bits,
 )
-from .mux import ImpossiblePastError, MuX, log_loss_bound
+from .mux import MuX, log_loss_bound
 from .chain import ChainSpec
 
 EXIT_OK = 0
@@ -314,7 +313,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (NumericBudgetError, ImpossiblePastError) as exc:
+    except NumericBudgetError as exc:
         print(f"numeric budget failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:

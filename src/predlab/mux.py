@@ -113,10 +113,6 @@ def _difference(hi_sum: float, tail: float) -> float | None:
     return d if tail <= d else None
 
 
-class ImpossiblePastError(ValueError):
-    """Conditioning on a past whose marginal upper bound is zero."""
-
-
 def log_loss_bound(n):
     """Certified ceiling on the cumulative log2 loss of mu_x on x_{1..n}:
     -log2(pi1) + 2 log2(n+1), elementwise for an array of horizons."""
@@ -257,7 +253,6 @@ class MuX:
         self._ones = np.empty(0, dtype=bool)
         # stride -> its class tables at the current capacity (_class_tables)
         self._classes: dict[int, tuple] = {}
-        self._initial_total: float | None = None
         # (y, step) -> _shared(y, step): the first steps every past shares
         self._first: dict[tuple, ForwardState | Transition] = {}
 
@@ -313,12 +308,11 @@ class MuX:
         J = self.chain.truncation_level
         self._ensure_tables(J)
         origins = range(1, J + 1)
-        if self._initial_total is None:  # J - 1 roundings, counted by _rel_err
-            self._initial_total = sum(float(_stationary(c).sum()) for _, c in _chunks(origins, 0))
+        # J - 1 roundings, counted by _rel_err
+        total = sum(float(_stationary(c).sum()) for _, c in _chunks(origins, 0))
         empty = np.empty(0, dtype=np.int64)
         return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
-                            roundings=_INIT_ROUNDINGS,
-                            total=self._initial_total, origins=origins)
+                            roundings=_INIT_ROUNDINGS, total=total, origins=origins)
 
     def _shared(self, y: tuple, step: bool = False):
         """The state after y, a word of at most one symbol, or with ``step``
@@ -428,11 +422,7 @@ class MuX:
         if step is None:
             step = self.propagate(state)
         keep = step.born_ones if symbol else ~step.born_ones
-        if keep[1:].all():  # every up-move survives: slice instead of gather
-            first = 1 if len(keep) and not keep[0] else 0
-            states, w = step.born_states[first:], step.born_weights[first:]
-        else:
-            states, w = step.born_states[keep], step.born_weights[keep]
+        states, w = step.born_states[keep], step.born_weights[keep]
         origins = step.origins
         if step.common is not None:
             if step.common != symbol:
@@ -476,42 +466,36 @@ class MuX:
                                roundings=step.roundings, total=total)
         return new
 
-    def forward(self, y: Word) -> ForwardState:
-        y = tuple(y)
-        state = self._shared(y[:1])
-        for i, s in enumerate(y[1:]):
-            state = self.advance(state, s, None if i else self._shared(y[:1], True))
-        return state
-
     # -- queries --------------------------------------------------------------
+
+    def _walk(self, y: Word) -> "MuxPredictor":
+        pred = MuxPredictor(self)
+        for s in y:
+            pred.observe(s)
+        return pred
 
     def marginal(self, y: Word) -> LogInterval:
         """Certified enclosure of mu_x(y); ``width`` is the dropped mass."""
         if len(y) == 0:
             raise ValueError("marginal of the empty word is 1; query length >= 1")
-        return self.forward(y).interval()
+        return self._walk(y)._state.interval()
 
     def conditional_next(self, past: Word) -> tuple[LogInterval, LogInterval]:
         """Enclosures of mu_x(next=0 | past) and mu_x(next=1 | past).
 
         Outward-rounded interval division of the one-step-extended marginal
-        by the past marginal.  For pasts whose tracked mass has died the
-        enclosures are vacuous ([0, 1]); if even the upper bound of the past
-        marginal is zero the conditioning is impossible.
+        by the past marginal, whose upper end is positive on every past: it
+        includes the dropped mass, at least the tail pi1/J.  A dead past
+        (``total <= 0``: zero tracked mass) gets the vacuous enclosures [0, 1].
         """
-        state = self.forward(past)
-        step = self._shared(tuple(past), True) if len(past) < 2 else self.propagate(state)
-        return self._conditional_intervals(state, step)
+        pred = self._walk(past)
+        return self._conditional_intervals(pred._state, pred._propagated())
 
     def _conditional_intervals(self, state: ForwardState, step: Transition,
                                symbols=(0, 1)) -> tuple[LogInterval, ...]:
         """The enclosures of the conditionals of ``symbols`` after ``state``."""
         den = step.s0 + step.s1
         d = state.dropped_mass
-        if den <= 0.0 and d <= 0.0:
-            raise ImpossiblePastError(
-                "conditioning on impossible past (upper-bound marginal is 0)"
-            )
         # interval division in the state's scaled units, where the dropped
         # mass reads d * 2**-scale (inf once it dwarfs the tracked mass)
         try:
@@ -561,10 +545,11 @@ class MuxPredictor(Predictor):
     Serves the conditionals of the chain-with-emissions process whose
     initial state law is the stationary one restricted to 1..J and
     renormalized; cumulative log2 loss along any sequence telescopes to the
-    tracked forward mass.  Off the truncated support (a past of tracked
-    mass zero) the predictor falls back to the uniform conditional, which
-    equals the renormalized midpoints of the then-vacuous enclosures; this
-    measure-zero convention keeps it total for adversarial use.
+    tracked forward mass.  A past is dead when its tracked mass is zero
+    (``total <= 0``, the one dead-past rule); off this truncated support the
+    predictor falls back to the uniform conditional, which equals the
+    renormalized midpoints of the then-vacuous enclosures; this measure-zero
+    convention keeps it total for adversarial use.
 
     ``last_interval_width`` records the enclosure width of the most recent
     prediction for diagnostic logging.
@@ -577,8 +562,6 @@ class MuxPredictor(Predictor):
         self.mux = mux
         self._state = mux._shared(())
         self._shared_past: tuple | None = ()  # the past while the MuX shares its state
-        self._initial_log2_mass = self._state.log2_mass()
-        self._dead = False
         self._cache: Transition | None = None
         self.last_interval_width = 0.0
 
@@ -590,7 +573,7 @@ class MuxPredictor(Predictor):
         return self._state.log2_mass()
 
     def log2_initial_mass(self) -> float:
-        return self._initial_log2_mass
+        return self.mux._shared(()).log2_mass()
 
     def _propagated(self) -> Transition:
         if self._cache is None:
@@ -599,32 +582,26 @@ class MuxPredictor(Predictor):
         return self._cache
 
     def predict(self) -> tuple[float, float]:
-        if self._dead:
+        if self._state.total <= 0.0:
             self.last_interval_width = 1.0
             return (0.5, 0.5)
         step = self._propagated()
-        den = step.s0 + step.s1
         i0, = self.mux._conditional_intervals(self._state, step, (0,))
         self.last_interval_width = i0.width
-        if den <= 0.0:
-            return (0.5, 0.5)
-        p1 = step.s1 / den
+        # a live past's alive weights are >= 2^-960 after the floors, and p_j
+        # and 1 - p_j are >= 2^-62: every weight after the step, so s0 + s1, is > 0
+        p1 = step.s1 / (step.s0 + step.s1)
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        if self._dead:
+        if self._state.total <= 0.0:  # a dead past stays dead
             return
         step = self._propagated()
         self._cache = None
-        if step.s0 + step.s1 <= 0.0:
-            self._dead = True
-            return
         self._shared_past = (symbol,) if self._shared_past == () else None
         self._state = (self.mux._shared(self._shared_past) if self._shared_past
                        else self.mux.advance(self._state, symbol, step))
-        if (step.s1 if symbol else step.s0) <= 0.0:
-            self._dead = True
 
 
 def brute_force_marginal(mux: MuX, y: Word, max_init_state: int) -> float:

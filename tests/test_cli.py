@@ -4,7 +4,7 @@ import math
 import pytest
 
 from predlab.cli import main, parse_predictor_spec, parse_source_spec
-from predlab import MuxPredictor
+from predlab import PI1, MuxPredictor
 from predlab.loss import CSV_COLUMNS
 
 
@@ -60,6 +60,14 @@ def test_mux_marginal_json(capsys):
     assert lower <= 0.75 <= upper
     assert payload["width"] <= 0.6079271018540267 / 10000
     assert payload["trunc"] == 10000
+    # an impossible word is no error: its tracked mass is zero and its
+    # enclosure is the dropped mass pi1/J alone
+    code, out = run_cli(capsys, "mux", "marginal", "--target", "periodic:0",
+                        "--query", "1", "--trunc", "100")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lower_log2"] == "-inf"
+    assert payload["width"] == PI1 / 100
 
 
 def test_mux_marginal_width_budget_exit_code(capsys):

@@ -35,9 +35,11 @@ codes = [
               "--out", sys.argv[2]]),
     cli.main(["ergodicity", "--target", "periodic:01", "-n", "2000",
               "--seed", "3"]),
+    cli.main(["theorem1", "--rho", "mux:periodic:01", "-n", "20", "--trunc", "200",
+              "--out", sys.argv[2] + "_mux"]),
 ]
 calls = {name: n for name, (n, _) in tracer.self_times().items()}
-print(json.dumps({"codes": codes, "calls": calls}))
+print(json.dumps({"codes": codes, "calls": calls, "counts": tracer.counts}))
 """
 
 
@@ -47,13 +49,16 @@ def test_traced_benchmark_still_wraps_the_baselines(tmp_path):
                       str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0]
-    assert result["calls"]["cli.main"] == 2
+    assert result["codes"] == [0, 0, 0]
+    assert result["calls"]["cli.main"] == 3
     assert result["calls"]["baselines.predict"] > 0
     assert result["calls"]["baselines.observe"] > 0
     # ergodicity reads sample_path's .states and the word statistics
     assert result["calls"]["chain.sample_path"] >= 1
     assert result["calls"]["loss.word_stats"] >= 1
+    # the dead-past counter reads a predictor's log2_mass() == -inf: the
+    # adversary drives mux:periodic:01 off its support within a few steps
+    assert result["counts"]["mux.uniform_fallbacks"] > 0
 
 
 def test_consistency_curves_script_writes_tidy_csvs(tmp_path):
