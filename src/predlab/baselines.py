@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .core import Predictor, Symbol, validate_symbol
+from .core import Predictor, Symbol, sum_left, validate_symbol
 
 MAX_MIXTURE_ORDER = 16
 
@@ -102,8 +102,8 @@ class FiniteOrderMixture(Predictor):
         a = self._log2_terms()
         m = max(a)
         g = [2.0 ** (x - m) for x in a]
-        total = sum(g)
-        p1 = sum([gk / total * pk for gk, pk in zip(g, self._p1)])
+        total = sum_left(g)
+        p1 = sum_left([gk / total * pk for gk, pk in zip(g, self._p1)])
         p1 = min(max(p1, 0.0), 1.0)
         return (1.0 - p1, p1)
 
@@ -126,4 +126,4 @@ class FiniteOrderMixture(Predictor):
         """log2 of the mixture probability of the observed past."""
         a = self._log2_terms()
         m = max(a)
-        return m + math.log2(sum(2.0 ** (x - m) for x in a))
+        return m + math.log2(sum_left([2.0 ** (x - m) for x in a]))

@@ -130,7 +130,8 @@ def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
     lengths, covered = [], first
     while covered < n:
         draws = rng.random(int(1.1 * PI1 * (n - covered)) + 64)
-        lengths.append(np.floor((1.0 - draws) ** -0.5).astype(np.int64))
+        np.floor(np.power(np.subtract(1.0, draws, out=draws), -0.5, out=draws), out=draws)
+        lengths.append(draws.astype(np.int64))
         covered += int(lengths[-1].sum())
     # each step's state is its offset from the start of its run, plus one
     starts = first + np.cumsum(np.concatenate([[0], *lengths]))

@@ -12,6 +12,7 @@ Spec grammars (kept out of the library API):
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -148,9 +149,7 @@ def _cmd_mux_marginal(args) -> int:
 
 
 def _cmd_mux_sample(args) -> int:
-    source = parse_source_spec(args.target)
-    mux = MuX(source)
-    bits = format_bits(mux.sample_trajectory(args.n, args.seed))
+    bits = format_bits(MuX(parse_source_spec(args.target)).sample_trajectory(args.n, args.seed))
     sys.stdout.write(bits + "\n")
     if args.out:
         path = Path(args.out)
@@ -221,26 +220,20 @@ def _cmd_ergodicity(args) -> int:
     cfg = ExperimentConfig(command="ergodicity", source_spec=args.target,
                            horizon=args.n, seed=args.seed)
     traj = MuX(parse_source_spec(args.target)).sample_trajectory(args.n, args.seed)
-    freq_1 = float(np.count_nonzero(traj)) / len(traj)
     word_freqs = {}
-    for k in (1, 2, 3):
-        if len(traj) >= k:
-            dist = loss.window_distribution(traj, k, 1, 1)
-            for word in itertools.product((0, 1), repeat=k):
-                word_freqs[format_bits(word)] = dist.get(word, 0.0)
+    for k, counts in enumerate(loss.word_counts(traj, 3)[:args.n], 1):  # k <= n
+        words = map(format_bits, itertools.product((0, 1), repeat=k))
+        word_freqs.update(zip(words, (counts / (args.n - k + 1)).tolist()))
     try:
         windows = loss.stationarity_window_check(traj, **_WINDOW_CHECK)
     except ValueError:  # a run too short for a window at either offset
         max_z = None
     else:
-        max_z = 0.0
-        for _, fa, fb, se in windows:
-            if se > 0.0:
-                max_z = max(max_z, abs(fa - fb) / se)
+        max_z = max((abs(fa - fb) / se for _, fa, fb, se in windows if se > 0.0), default=0.0)
     payload = {
         "config": asdict(cfg),
-        "freq_0": 1.0 - freq_1,
-        "freq_1": freq_1,
+        "freq_0": 1.0 - word_freqs["1"],
+        "freq_1": word_freqs["1"],
         "word_freqs": word_freqs,
         "window_check": {**_WINDOW_CHECK, "max_abs_z": max_z},
     }
@@ -248,6 +241,7 @@ def _cmd_ergodicity(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, shared after it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="predlab",

@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +27,8 @@ Word = tuple[int, ...]
 
 #: log2 of probability zero; arithmetic with it saturates.
 IMPOSSIBLE = float("-inf")
+#: floats summed left to right, as the builtin sum does before Python 3.12
+sum_left = functools.partial(functools.reduce, operator.add)
 
 
 class SourceExhaustedError(ValueError):

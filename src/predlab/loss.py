@@ -232,6 +232,15 @@ def _window_counts(seq, k: int, start: int = 1, stride: int = 1) -> np.ndarray:
     return np.bincount(codes, minlength=1 << k)
 
 
+def word_counts(seq, k: int) -> list[np.ndarray]:
+    """``_window_counts(seq, i)`` for i = 1..k from one count: the i-windows are
+    the (i+1)-windows summed over their last symbol, plus the last i-window."""
+    counts = [_window_counts(seq, k)]
+    for i in range(k - 1, 0, -1):
+        counts.insert(0, counts[0].reshape(-1, 2).sum(axis=1) + _window_counts(seq[-i:], i))
+    return counts
+
+
 def _code_words(codes: np.ndarray, k: int) -> list[Word]:
     """The k-bit codes as words, first symbol most significant."""
     bits = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1

@@ -58,6 +58,7 @@ from .core import (
     Symbol,
     Word,
     log2_sum,
+    sum_left,
     validate_symbol,
 )
 
@@ -309,7 +310,7 @@ class MuX:
         self._ensure_tables(J)
         origins = range(1, J + 1)
         # J - 1 roundings, counted by _rel_err
-        total = sum(float(_stationary(c).sum()) for _, c in _chunks(origins, 0))
+        total = sum_left([float(_stationary(c).sum()) for _, c in _chunks(origins, 0)])
         empty = np.empty(0, dtype=np.int64)
         return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
                             roundings=_INIT_ROUNDINGS, total=total, origins=origins)
@@ -526,16 +527,17 @@ class MuX:
         The source must serve every visited state as an index; a finite one
         raises its exhaustion error otherwise.
         """
-        if n < 1:
-            raise ValueError("trajectory length must be >= 1")
         states = sample_path(n, seed, start=None).states
-        # only the first run can climb above n: read its states there one
-        # by one instead of materialising a prefix as long as the largest
-        low = states <= n
-        emis = self.source.prefix_array(int(states.max(initial=0, where=low)))
-        out = np.empty(n, dtype=np.uint8)
-        out[low] = emis[states[low] - 1]
-        out[~low] = [self.source.symbol_at(int(j)) for j in states[~low]]
+        # only the first run j0, j0 + 1, ... can climb above n: its states
+        # there, lo:hi, are read one by one instead of from a prefix that long
+        j0, last, lo, hi = int(states[0]), int(states.max()), 0, 0
+        if last > n:  # then last ends the first run
+            lo, hi = max(n + 1 - j0, 0), last - j0 + 1
+            last = n if j0 <= n else int(states[hi:].max(initial=0))
+        emis = self.source.prefix_array(last)  # through the largest state <= n
+        np.subtract(states, 1, out=states)  # 0-based; lo:hi clip, then are overwritten
+        out = emis.take(states, mode="clip") if last else np.empty(n, dtype=np.uint8)
+        out[lo:hi] = [self.source.symbol_at(j + 1) for j in states[lo:hi].tolist()]
         return out
 
 

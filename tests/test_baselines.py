@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predlab import (
+    AdversarialSource,
     CoinFlipSource,
     FiniteOrderMixture,
     KTPredictor,
@@ -145,18 +146,26 @@ def test_mixture_adversary_is_pinned(max_order):
 
 
 # SHA-256 of the first 10,064 adversarial symbols (J + 64 at J = 1e4, the
-# length theorem1 builds) against mix:K
+# length theorem1 builds) against mix:K, and of the repr of the probabilities
+# mix:K gave them: sums run left to right, so these hold on every Python
 MIXTURE_ADVERSARY_FULL_SHA256 = {
     3: "10189c0c9d71e6506efe4e12a0c21a41bca4a75d949a29b94a31ce31aae40a4f",
     5: "a2444639c02274cf05f3121715cd31a96459f36ebc8f460f09b01520cd2cfac5",
+}
+MIXTURE_PICKED_PROBS_SHA256 = {
+    3: "b27cbd041dac1b6fae78bfb1ccfe9bdff9bfcf01509287a7503297ce476c2b88",
+    5: "867732fee1a76a7ec2fa2cf2decaf1c8a674144392b0d992e5833b6686dcf31d",
 }
 
 
 @pytest.mark.parametrize("max_order", sorted(MIXTURE_ADVERSARY_FULL_SHA256))
 def test_mixture_adversary_is_pinned_at_theorem1_length(max_order):
-    x = format_bits(adversarial_sequence(FiniteOrderMixture(max_order), 10064))
+    source = AdversarialSource(FiniteOrderMixture(max_order))
+    x = format_bits(source.prefix_array(10064))
     digest = hashlib.sha256(x.encode()).hexdigest()
     assert digest == MIXTURE_ADVERSARY_FULL_SHA256[max_order]
+    probs = repr(source.picked_probs(10064).tolist())
+    assert hashlib.sha256(probs.encode()).hexdigest() == MIXTURE_PICKED_PROBS_SHA256[max_order]
 
 
 def _assert_chain_rule(mix, past):

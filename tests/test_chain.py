@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -149,6 +150,24 @@ def test_sample_path_deterministic():
     a = sample_path(5000, seed=42)
     b = sample_path(5000, seed=42)
     assert np.array_equal(a.states, b.states)
+
+
+# SHA-256 of sample_path(2e5, seed, start).states, as int64 bytes
+SAMPLE_PATH_SHA256 = {
+    (1, None): "909a070365a59009ddf14a46a4ccf924f300b14bb0f981256f281071a94925d9",
+    (2, None): "5b6314d9d718ae7eef3a977445bedbfadd9f691635a0237e0f65d746b54bea0e",
+    (3, None): "d1030459c3d749b38d8da2c120496a8187986292d09211f9e7fd615ce5c35948",
+    (5, 7): "324d21b20eebeef153b7bf9d7104625d46cb841ecfeeb4b0b817155a9301880e",
+    (5, 2**40): "6247044d653b43dabf4a962969ee14c35524e86609ed2bd31fa9ba498ec232a6",
+}
+
+
+@pytest.mark.parametrize("seed, start", sorted(SAMPLE_PATH_SHA256, key=str))
+def test_sample_path_is_pinned(seed, start):
+    states = sample_path(200_000, seed, start).states
+    assert states.dtype == np.int64
+    digest = hashlib.sha256(states.tobytes()).hexdigest()
+    assert digest == SAMPLE_PATH_SHA256[seed, start]
 
 
 @given(st.integers(min_value=0, max_value=50))

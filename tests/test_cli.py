@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from predlab.cli import main, parse_predictor_spec, parse_source_spec
+from predlab.cli import build_parser, main, parse_predictor_spec, parse_source_spec
 from predlab import PI1, MuxPredictor
 from predlab.loss import CSV_COLUMNS
 
@@ -174,6 +175,40 @@ def test_ergodicity_too_short_for_the_window_check(capsys, n):
     for k in lengths:
         assert math.fsum(v for w, v in payload["word_freqs"].items()
                          if len(w) == k) == pytest.approx(1.0, abs=1e-12)
+
+
+# SHA-256 of the ergodicity stdout on periodic:011, seed 3, per horizon n
+ERGODICITY_STDOUT_SHA256 = {
+    1: "d0e5580b081a0ce222918ea0bbe5d1b12ff2decb1fd24ca9c1becbefe6f6b341",
+    2: "809c74f489c033caf78f8890634309c6d61dc9571cd1f59409c0a5e2d3475391",
+    52: "94091434fa11e0008b646c8f2c7f285b530cc75cabc572772b31399bbe27216f",
+    1000: "7d6d0fddfb3ad560d268e503c53720a8840566173241cacacc6bef87c66e1215",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ERGODICITY_STDOUT_SHA256))
+def test_ergodicity_stdout_is_pinned(capsys, n):
+    code, out = run_cli(capsys, "ergodicity", "--target", "periodic:011",
+                        "-n", str(n), "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ERGODICITY_STDOUT_SHA256[n]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [["ergodicity", "--target", "periodic:01", "-n", "bogus", "--seed", "1"],
+             ["ergodicity", "--target", "periodic:011", "-n", "300", "--seed", "4"],
+             ["chain", "info", "--max-n", "3", "--trunc", "100"]]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    reused = [run(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert [code for code, _ in reused] == [2, 0, 0]
+    for argv, result in zip(calls, reused):
+        build_parser.cache_clear()
+        assert run(argv) == result
 
 
 def test_flags_without_effect_are_gone(tmp_path, capsys):

@@ -29,6 +29,7 @@ from predlab.loss import (
     MAX_WINDOW,
     _window_counts,
     trace_from_realized_probs,
+    word_counts,
     write_tidy_csv,
 )
 
@@ -338,6 +339,23 @@ def test_stationarity_window_check_matches_naive_scan(seq, k, a, b, stride):
     assert stationarity_window_check(seq, k, a, b, stride) == expected
 
 
+@given(st.lists(st.integers(0, 1), max_size=60))
+@example(seq=[])
+@settings(max_examples=150)
+def test_word_counts_fold_to_each_window_length(seq):
+    counts = word_counts(seq, 3)
+    assert len(counts) == 3
+    for k, c in enumerate(counts, 1):
+        assert c.tolist() == _window_counts(seq, k).tolist()
+        if len(seq) < k:
+            assert not c.any()
+            continue
+        present = np.flatnonzero(c)
+        folded = dict(zip((_word(int(code), k) for code in present),
+                          (c[present] / (len(seq) - k + 1)).tolist()))
+        assert folded == window_distribution(seq, k, 1, 1)
+
+
 def test_window_length_outside_counted_range_rejected():
     seq = [0, 1] * 20
     for k in (0, MAX_WINDOW + 1):
@@ -347,4 +365,6 @@ def test_window_length_outside_counted_range_rejected():
             window_distribution(seq, k, 1, 1)
         with pytest.raises(ValueError):
             stationarity_window_check(seq, k, 1, 2, 3)
+        with pytest.raises(ValueError):
+            word_counts(seq, k)
     assert len(_window_counts(seq, MAX_WINDOW)) == 1 << MAX_WINDOW

@@ -436,6 +436,24 @@ def test_sample_trajectory_reads_large_states_through_symbol_at(monkeypatch, tmp
         MuX(FileSource(path)).sample_trajectory(n, seed)
 
 
+@pytest.mark.parametrize("spec", ["periodic:011", "champernowne", "coin:5"])
+def test_sample_trajectory_with_the_first_run_above_n(monkeypatch, spec):
+    # every state above n (an empty emission prefix), and a start at n + 1
+    # whose later runs are read from the prefix
+    from predlab import chain
+
+    n = 300
+    for j0, seed, all_above in ((10**6, 9, True), (n + 1, 2, False)):
+        monkeypatch.setattr(mux_module, "sample_path",
+                            lambda n, seed, start=None: chain.sample_path(n, seed, j0))
+        states = chain.sample_path(n, seed, j0).states
+        assert states[0] == j0 and (states.min() > n) == all_above
+        src = parse_source_spec(spec)
+        traj = MuX(src).sample_trajectory(n, seed)
+        assert traj.dtype == np.uint8
+        assert traj.tolist() == [src.symbol_at(int(j)) for j in states]
+
+
 # ---------------------------------------------------------------------------
 # plumbing edges
 # ---------------------------------------------------------------------------
