@@ -11,6 +11,7 @@ queries need (state-j emissions read the sequence at index j).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +27,26 @@ class AdversarialSource(SequenceSource):
 
     Owns a private fresh instance of the target predictor, advanced once per
     generated symbol; both the chosen symbols and the conditional
-    probabilities the predictor was scored on are cached, so assertions run
-    against the exact queried values rather than a recomputation.
+    probabilities the predictor was scored on are cached, in buffers with no
+    object per entry, so assertions run against the exact queried values
+    rather than a recomputation.
     """
 
     def __init__(self, rho: Predictor, spec: str = "adversarial") -> None:
         self._rho = rho.fresh()
         self.spec = spec
-        self._symbols: list[int] = []
-        self._picked_probs: list[float] = []
+        self._symbols = bytearray()
+        self._picked_probs = array("d")
 
     def _extend_to(self, n: int) -> None:
-        symbols, picked, rho = self._symbols, self._picked_probs, self._rho
+        symbols, picked = self._symbols, self._picked_probs
+        predict, observe = self._rho.predict, self._rho.observe
         for _ in range(n - len(symbols)):
-            p0, p1 = rho.predict()
+            p0, p1 = predict()
             pick: Symbol = 0 if p0 <= p1 else 1
             symbols.append(pick)
             picked.append(p0 if pick == 0 else p1)
-            rho.observe(pick)
+            observe(pick)
 
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:
@@ -105,13 +108,11 @@ def theorem1_experiment(
 
     mux = MuX(source, ChainSpec(trunc))
     pred = mux.predictor()
-    mux_probs = np.empty(n, dtype=np.float64)
-    widths = np.empty(n, dtype=np.float64)
-    for t in range(n):
+    mux_probs, widths = [], []
+    for s in x.tolist():
         p0, p1 = pred.predict()
-        widths[t] = pred.last_interval_width
-        s = int(x[t])
-        mux_probs[t] = p1 if s else p0
+        widths.append(pred.last_interval_width)
+        mux_probs.append(p1 if s else p0)
         pred.observe(s)
     mux_trace = trace_from_realized_probs(mux_probs)
 
@@ -123,6 +124,6 @@ def theorem1_experiment(
         rho_trace=rho_trace,
         mux_trace=mux_trace,
         bound_per_step=bound,
-        mux_widths=widths,
+        mux_widths=np.array(widths),
         symbols_built=len(source._symbols),
     )

@@ -62,8 +62,9 @@ class FiniteOrderMixture(Predictor):
     joint therefore dominates every component: cumulative mixture loss never
     exceeds a component's cumulative loss plus -log2 w_k.
 
-    ``observe`` forms each order's conditional in its new context, once per
-    step, into the list that ``predict`` reads.
+    ``observe`` walks the orders once per step: it updates each order's
+    joint, count, context and conditional in its new context, and its log2
+    term, then forms the pair that ``predict`` returns.
 
     The posterior is computed in Python floats over the K + 1 log2 terms
     (shifted by their max, raised to powers of 2, normalised), so a
@@ -87,43 +88,51 @@ class FiniteOrderMixture(Predictor):
         self.log2_joints = [0.0] * (max_order + 1)
         # counts[k][2 c + s]: how often s followed the order-k context coded c
         self._counts = [[0] * (4 << k) for k in range(max_order + 1)]
-        self._contexts = [1] * (max_order + 1)  # all empty
-        # each order's P(next=1) in its current context, formed in observe
+        self._offsets = [2] * (max_order + 1)  # 2 c, for each order's context c
+        # each order's P(next=1) in its current context, and its log2 term
+        # log2 w_k + log2 mu_k(past), formed in observe
         self._p1 = [0.5] * (max_order + 1)
+        self._terms = list(self.log2_weights)  # every joint is log2 1 = 0
+        self._next = self._posterior()
 
     def fresh(self) -> "FiniteOrderMixture":
         return FiniteOrderMixture(self.max_order)
 
-    def _log2_terms(self) -> list[float]:
-        """log2 w_k + log2 mu_k(past), one entry per order."""
-        return [lw + lj for lw, lj in zip(self.log2_weights, self.log2_joints)]
+    def _posterior(self) -> tuple[float, float]:
+        """Posterior-weighted (P(next=0), P(next=1)); loops sum left to right."""
+        m, g, total, p1 = max(self._terms), [], 0.0, 0.0
+        for x in self._terms:
+            gk = 2.0 ** (x - m)
+            g.append(gk)
+            total += gk
+        for gk, pk in zip(g, self._p1):
+            p1 += gk / total * pk
+        p1 = 0.0 if p1 < 0.0 else 1.0 if p1 > 1.0 else p1  # min(max(p1, 0), 1)
+        return (1.0 - p1, p1)
 
     def predict(self) -> tuple[float, float]:
-        a = self._log2_terms()
-        m = max(a)
-        g = [2.0 ** (x - m) for x in a]
-        total = sum_left(g)
-        p1 = sum_left([gk / total * pk for gk, pk in zip(g, self._p1)])
-        p1 = min(max(p1, 0.0), 1.0)
-        return (1.0 - p1, p1)
+        return self._next
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        joints, contexts, p1s = self.log2_joints, self._contexts, self._p1
+        joints, offsets, p1s, terms = self.log2_joints, self._offsets, self._p1, self._terms
+        lws = self.log2_weights
         for k, counts in enumerate(self._counts):
             p1 = p1s[k]
-            joints[k] += math.log2(p1 if symbol else 1.0 - p1)
-            c = contexts[k]
-            counts[2 * c + symbol] += 1
-            c = c << 1 | symbol
-            if c >= 2 << k:  # k + 1 symbols: drop the oldest, keep the marker
-                c = (c - (2 << k)) | 1 << k
-            contexts[k] = c
-            n0, n1 = counts[2 * c], counts[2 * c + 1]
-            p1s[k] = (n1 + 0.5) / (n0 + n1 + 1)
+            joint = joints[k] = joints[k] + math.log2(p1 if symbol else 1.0 - p1)
+            terms[k] = lws[k] + joint
+            b = offsets[k]
+            counts[b + symbol] += 1
+            b = (b + symbol) << 1
+            if b >= 4 << k:  # k + 1 symbols: drop the oldest, keep the marker
+                b = (b - (4 << k)) | 2 << k
+            offsets[k] = b
+            n1 = counts[b + 1]
+            p1s[k] = (n1 + 0.5) / (counts[b] + n1 + 1)
+        self._next = self._posterior()
 
     def log2_joint(self) -> float:
         """log2 of the mixture probability of the observed past."""
-        a = self._log2_terms()
+        a = self._terms
         m = max(a)
         return m + math.log2(sum_left([2.0 ** (x - m) for x in a]))

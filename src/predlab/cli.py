@@ -194,11 +194,11 @@ def _cmd_theorem1(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "x.txt").write_text(format_bits(run.sequence) + "\n",
                                    encoding="utf-8")
-    run.rho_trace.to_csv(out_dir / "rho_trace.csv")
-    run.mux_trace.to_csv(out_dir / "mux_trace.csv")
+    rho_cesaro = run.rho_trace.to_csv(out_dir / "rho_trace.csv")
+    mux_cesaro = run.mux_trace.to_csv(out_dir / "mux_trace.csv")
     loss.write_tidy_csv(out_dir / "tidy.csv", {
-        "rho_cesaro_kl": run.rho_trace.cesaro_kl,
-        "mux_cesaro_kl": run.mux_trace.cesaro_kl,
+        "rho_cesaro_kl": rho_cesaro,
+        "mux_cesaro_kl": mux_cesaro,
         "bound_per_step": run.bound_per_step,
     })
     summary = {

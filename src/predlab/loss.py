@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,37 +75,42 @@ class LossTrace:
         start = max(len(self) // 2, 1)
         return float(np.min(self.cesaro_kl[start - 1:]))
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path) -> list[str]:
+        """Write the trace; return its cesaro_kl fields for ``write_tidy_csv``."""
+        cesaro_kl = list(map(str, self.cesaro_kl.tolist()))
         _write_csv(path, CSV_COLUMNS, [
-            self.steps, self.kl_bits, self.cum_kl_bits, self.cesaro_kl,
+            self.steps, self.kl_bits, self.cum_kl_bits, cesaro_kl,
             self.abs_loss, self.cesaro_abs, self.sq_loss, self.cesaro_sq,
         ])
+        return cesaro_kl
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """Write equal-length columns under a header, one row per index, in one
-    write.  The bytes are those of ``csv.writer`` (excel dialect: "," between
-    fields, "\r\n" after each row), since no field needs quoting: floats
-    print as ``str(float)``, which equals ``repr(float)``."""
+    """Write equal-length columns (arrays, or iterables of their fields) under
+    a header, one row per index, in one write.  The bytes are those of
+    ``csv.writer`` (excel dialect: "," between fields, "\r\n" after each row),
+    since no field needs quoting: floats print as ``str(float)`` = ``repr``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    cells = [map(str, c.tolist()) for c in columns]
+    cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
     lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
     with path.open("w", newline="", encoding="utf-8") as f:
         f.write("\r\n".join(lines))
 
 
-def write_tidy_csv(path, series: dict[str, np.ndarray]) -> None:
+def write_tidy_csv(path, series: dict[str, np.ndarray | list[str]]) -> None:
     """Plot-ready long format: one row per (t, metric, value), t = 1..len
-    within each metric.  A metric name that CSV would quote is refused."""
+    within each metric, from a float array or a list of the fields that
+    ``LossTrace.to_csv`` returns.  A metric name that CSV would quote is refused."""
     quoted = [m for m in series if any(ch in m for ch in ',"\r\n')]
     if quoted:
         raise ValueError(f"metric names must not contain , \" or line breaks: {quoted}")
     lengths = [len(v) for v in series.values()]
     _write_csv(path, ["t", "metric", "value"], [
-        np.concatenate([np.arange(1, n + 1) for n in lengths]),
-        np.repeat(list(series), lengths),
-        np.concatenate([np.asarray(v, dtype=np.float64) for v in series.values()]),
+        chain.from_iterable(map(str, range(1, n + 1)) for n in lengths),
+        chain.from_iterable(repeat(m, n) for m, n in zip(series, lengths)),
+        chain.from_iterable(v if isinstance(v, list) else map(
+            str, np.asarray(v, dtype=np.float64).tolist()) for v in series.values()),
     ])
 
 

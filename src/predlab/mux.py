@@ -58,6 +58,7 @@ from .core import (
     Symbol,
     Word,
     log2_sum,
+    prob,
     sum_left,
     validate_symbol,
 )
@@ -78,6 +79,7 @@ _INIT_ROUNDINGS, _TABLE_ROUNDINGS, _SPARE_ROUNDINGS = 6, 3, 8
 _LOG_SLACK = 8.0 * _U
 
 _NO_ORIGINS = range(0)
+_ZERO = np.zeros(1, dtype=np.int64)
 #: a never-reset block with fewer origins joins the reset-born block
 _MIN_BLOCK = 64
 #: weights formed on the fly (sums without class tables, table builds) are
@@ -110,7 +112,7 @@ def _chunks(o, shift: int):
 def _difference(hi_sum: float, tail: float) -> float | None:
     """hi_sum - tail, or None unless tail <= hi_sum - tail: then hi_sum +
     tail <= 3 (hi_sum - tail), which keeps the difference's error relative."""
-    d = float(hi_sum - tail)
+    d = hi_sum - tail
     return d if tail <= d else None
 
 
@@ -222,8 +224,8 @@ class Transition(NamedTuple):
     """``MuX.propagate``'s pre-emission weights at time t+1.
 
     born_states, born_weights and roundings are as in ForwardState (the
-    reset-born block now holds the new state 1 in front), born_ones marks
-    its states emitting 1.  origins is the never-reset block, unchanged.
+    reset-born block now holds the new state 1 in front); born_ones and
+    born_zeros mark its states emitting 1 and 0.  origins is unchanged.
     common is the one symbol all their next states emit, or None if they
     differ; then origin_ones marks the origins whose next state emits 1 (a
     view of the emission table for a range).  s0, s1 are the sums of all weights by emission.
@@ -232,6 +234,7 @@ class Transition(NamedTuple):
     born_states: np.ndarray
     born_weights: np.ndarray
     born_ones: np.ndarray
+    born_zeros: np.ndarray
     origins: range | np.ndarray
     origin_ones: np.ndarray | None
     common: int | None
@@ -338,7 +341,7 @@ class MuX:
         # state j reads x_{j+1} after its up-move; the new state 1 reads x_1.
         # The tables are sized first: a strided view past their end would
         # come back short instead of failing
-        top = int(s[-1]) + 1 if len(s) else 1
+        top = s.item(-1) + 1 if len(s) else 1
         if len(o):
             top = max(top, int(o[-1]) + t)
         self._ensure_tables(top)
@@ -354,26 +357,25 @@ class MuX:
             states, v, roundings = s, w, state.roundings
             ones = self._ones[s - 1]
         else:
-            states = np.empty(len(s) + 1, dtype=np.int64)
-            states[0] = 1
-            np.add(s, 1, out=states[1:])
-            v = np.empty(len(s) + 1, dtype=np.float64)
+            previous = np.concatenate((_ZERO, s))  # states - 1
+            states = previous + 1
+            up_states = states[1:]
+            v = np.empty(len(states))
             up = v[1:]
-            np.divide(2.0 * s + 1.0, np.square(states[1:], dtype=np.float64), out=up)
-            v[0] = np.dot(w, up) + inflow  # 1 - p_j = (2j+1)/(j+1)^2
-            np.square(s / states[1:], out=up)  # p_j = (j/(j+1))^2: 3 roundings
+            # 1 - p_j = (2j+1)/(j+1)^2, with 2j+1 an exact integer sum
+            np.divide(s + up_states, np.square(up_states, dtype=np.float64), out=up)
+            v[0] = np.dot(w, up) + inflow
+            np.divide(s, up_states, out=up)
+            np.square(up, out=up)  # p_j = (j/(j+1))^2: 3 roundings with w
             up *= w
-            ones = np.empty(len(s) + 1, dtype=bool)
-            ones[0] = self._ones[0]
-            # the table covers every state, so "clip" only skips the
-            # buffering that take(out=...) does in its default mode
-            self._ones.take(s, out=ones[1:], mode="clip")  # j + 1 emits x_{j+1}
+            ones = self._ones.take(previous)
             # the born dot product's terms each add a product and a sum
             roundings = (state.roundings + _TABLE_ROUNDINGS + len(s)
                          + block_roundings)
+        zeros = ~ones
         s1 = float(np.add.reduce(v, where=ones)) + b1
-        s0 = float(np.add.reduce(v, where=~ones)) + b0
-        return Transition(states, v, ones, o, origin_ones, common, s0, s1, roundings)
+        s0 = float(np.add.reduce(v, where=zeros)) + b0
+        return Transition(states, v, ones, zeros, o, origin_ones, common, s0, s1, roundings)
 
     # with c = j + t - 1, the path from origin j is next in state c + 1,
     # weighs pi[c + 1] and emits x_{c+1}; at t >= 1 it sends c's reset share
@@ -386,9 +388,9 @@ class MuX:
         s, n = o.step, len(o)
         q, r = divmod(o.start + t - 1, s)
         up, share, counts = self._class_tables(s)
-        k = int(counts[q + n, r] - counts[q, r])  # a split reads every origin anyway
-        b = _difference(up[q, r], up[q + n, r])
-        inflow = _difference(share[q, r], share[q + n, r])
+        k = counts.item(q + n, r) - counts.item(q, r)  # a split reads every origin anyway
+        b = _difference(up.item(q, r), up.item(q + n, r))
+        inflow = _difference(share.item(q, r), share.item(q + n, r))
         if 0 < k < n or b is None or inflow is None:
             return None
         # the tail-first cumsum forms T_lo from T_hi by n additions, each
@@ -422,7 +424,7 @@ class MuX:
         validate_symbol(symbol)
         if step is None:
             step = self.propagate(state)
-        keep = step.born_ones if symbol else ~step.born_ones
+        keep = step.born_ones if symbol else step.born_zeros
         states, w = step.born_states[keep], step.born_weights[keep]
         origins = step.origins
         if step.common is not None:
@@ -448,7 +450,7 @@ class MuX:
             w = w * 2.0**shift
             total *= 2.0**shift
             scale -= shift
-        if len(w) and w.min() < _WEIGHT_FLOOR:
+        if len(w) and np.minimum.reduce(w) < _WEIGHT_FLOOR:
             assert not len(origins)
             small = w < _WEIGHT_FLOOR
             bound = float(w[small].sum()) * (1.0 + 2.0 * _rel_err(step))
@@ -490,31 +492,28 @@ class MuX:
         (``total <= 0``: zero tracked mass) gets the vacuous enclosures [0, 1].
         """
         pred = self._walk(past)
-        return self._conditional_intervals(pred._state, pred._propagated())
+        state, step = pred._state, pred._propagated()
+        return tuple(LogInterval(*self._conditional_ends(state, step, a)) for a in (0, 1))
 
-    def _conditional_intervals(self, state: ForwardState, step: Transition,
-                               symbols=(0, 1)) -> tuple[LogInterval, ...]:
-        """The enclosures of the conditionals of ``symbols`` after ``state``."""
+    def _conditional_ends(self, state: ForwardState, step: Transition,
+                          symbol: Symbol) -> tuple[float, float]:
+        """The log2 ends, lower and upper, of the enclosure of the
+        conditional of ``symbol`` after ``state``."""
         den = step.s0 + step.s1
-        d = state.dropped_mass
         # interval division in the state's scaled units, where the dropped
         # mass reads d * 2**-scale (inf once it dwarfs the tracked mass)
         try:
-            d_scaled = math.ldexp(d, -int(state.scale_log2))
+            d_scaled = math.ldexp(state.dropped_mass, -int(state.scale_log2))
         except OverflowError:
             d_scaled = math.inf
         r = _rel_err(step)
         den_lower = den * (1.0 - r)
-        den_upper = den * (1.0 + r) + d_scaled
-        out = []
-        for a in symbols:
-            s_a = step.s1 if a else step.s0
-            lo = _log2_out(s_a * (1.0 - r) / den_upper, False)
-            hi = 0.0
-            if den_lower > 0.0:
-                hi = min(0.0, _log2_out((s_a * (1.0 + r) + d_scaled) / den_lower, True))
-            out.append(LogInterval(min(lo, hi), hi))
-        return tuple(out)
+        s_a = step.s1 if symbol else step.s0
+        lo = _log2_out(s_a * (1.0 - r) / (den * (1.0 + r) + d_scaled), False)
+        hi = 0.0
+        if den_lower > 0.0:
+            hi = min(0.0, _log2_out((s_a * (1.0 + r) + d_scaled) / den_lower, True))
+        return min(lo, hi), hi
 
     # -- views ---------------------------------------------------------------
 
@@ -588,22 +587,22 @@ class MuxPredictor(Predictor):
             self.last_interval_width = 1.0
             return (0.5, 0.5)
         step = self._propagated()
-        i0, = self.mux._conditional_intervals(self._state, step, (0,))
-        self.last_interval_width = i0.width
+        lo, hi = self.mux._conditional_ends(self._state, step, 0)
+        self.last_interval_width = prob(hi) - prob(lo)  # LogInterval(lo, hi).width
         # a live past's alive weights are >= 2^-960 after the floors, and p_j
         # and 1 - p_j are >= 2^-62: every weight after the step, so s0 + s1, is > 0
         p1 = step.s1 / (step.s0 + step.s1)
         return (1.0 - p1, p1)
 
     def observe(self, symbol: Symbol) -> None:
-        validate_symbol(symbol)
         if self._state.total <= 0.0:  # a dead past stays dead
+            validate_symbol(symbol)
             return
-        step = self._propagated()
-        self._cache = None
-        self._shared_past = (symbol,) if self._shared_past == () else None
-        self._state = (self.mux._shared(self._shared_past) if self._shared_past
-                       else self.mux.advance(self._state, symbol, step))
+        # advance checks the symbol before anything here changes
+        shared = (symbol,) if self._shared_past == () else None
+        self._state = (self.mux._shared(shared) if shared
+                       else self.mux.advance(self._state, symbol, self._propagated()))
+        self._shared_past, self._cache = shared, None
 
 
 def brute_force_marginal(mux: MuX, y: Word, max_init_state: int) -> float:

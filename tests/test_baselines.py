@@ -17,6 +17,7 @@ from predlab import (
     dirac_kl,
     format_bits,
 )
+from predlab.core import sum_left
 
 from conftest import predictor_battery
 
@@ -125,6 +126,48 @@ def test_mixture_matches_exact_rational_oracle(max_order, past):
     assert mix.log2_joint() == pytest.approx(math.log2(exact), rel=1e-12)
     for k, joint in enumerate(joints):
         assert mix.log2_joints[k] == pytest.approx(math.log2(joint), rel=1e-12)
+
+
+def _reference_mixture_predictions(max_order, past):
+    """(p0, p1) before each symbol of past and after the last, by the
+    mixture's formula written out plainly: each order's KT conditional in
+    its context, log2 joints, and the posterior over the log2 terms shifted
+    by their max, summed left to right as lists."""
+    raw = [2.0 ** (-k) for k in range(max_order + 1)]
+    log2_weights = [math.log2(w / math.fsum(raw)) for w in raw]
+    joints = [0.0] * (max_order + 1)
+    counts = [{} for _ in range(max_order + 1)]
+    out = []
+    for t in range(len(past) + 1):
+        p1s = []
+        for k in range(max_order + 1):
+            n0, n1 = counts[k].get(past[max(t - k, 0):t], (0, 0))
+            p1s.append((n1 + 0.5) / (n0 + n1 + 1))
+        a = [lw + lj for lw, lj in zip(log2_weights, joints)]
+        m = max(a)
+        g = [2.0 ** (x - m) for x in a]
+        total = sum_left(g)
+        p1 = min(max(sum_left([gk / total * pk for gk, pk in zip(g, p1s)]), 0.0), 1.0)
+        out.append((1.0 - p1, p1))
+        if t < len(past):
+            s = past[t]
+            for k in range(max_order + 1):
+                joints[k] += math.log2(p1s[k] if s else 1.0 - p1s[k])
+                n = counts[k].setdefault(past[max(t - k, 0):t], [0, 0])
+                n[s] += 1
+    return out
+
+
+@given(st.integers(0, 8), st.lists(st.integers(0, 1), max_size=300).map(tuple))
+@settings(max_examples=60, deadline=None)
+def test_mixture_predictions_are_bit_identical_to_the_plain_formula(max_order, past):
+    mix, got = FiniteOrderMixture(max_order), []
+    for s in past + (None,):
+        got.append(mix.predict())
+        assert mix.predict() == got[-1]  # predict does no work of its own
+        if s is not None:
+            mix.observe(s)
+    assert repr(got) == repr(_reference_mixture_predictions(max_order, past))
 
 
 # SHA-256 of the first 500 adversarial symbols against mix:K, K = 0..5

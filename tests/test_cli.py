@@ -6,7 +6,8 @@ import pytest
 
 from predlab.cli import build_parser, main, parse_predictor_spec, parse_source_spec
 from predlab import PI1, MuxPredictor
-from predlab.loss import CSV_COLUMNS
+from predlab.adversary import theorem1_experiment
+from predlab.loss import CSV_COLUMNS, write_tidy_csv
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +120,23 @@ def test_theorem1_run_and_byte_identical_outputs(tmp_path, capsys):
     assert summary["mux_cumulative_bits"] <= summary["mux_cumulative_bound"] + 1e-6
     tidy_header = (out_dir / "tidy.csv").read_text().splitlines()[0]
     assert tidy_header == "t,metric,value"
+
+
+@pytest.mark.parametrize("rho", ["kt", "dirac:periodic:01"])
+def test_theorem1_tidy_csv_equals_the_one_written_from_floats(tmp_path, capsys, rho):
+    # tidy.csv takes the cesaro_kl fields the trace files wrote; the bytes
+    # are those that write_tidy_csv writes from the float arrays (the Dirac
+    # target's inf fields included)
+    code, _ = run_cli(capsys, "theorem1", "--rho", rho, "-n", "60", "--trunc", "500",
+                      "--out", str(tmp_path / "run"))
+    assert code == 0
+    run = theorem1_experiment(parse_predictor_spec(rho, trunc=500), 60, trunc=500)
+    write_tidy_csv(tmp_path / "tidy.csv", {
+        "rho_cesaro_kl": run.rho_trace.cesaro_kl,
+        "mux_cesaro_kl": run.mux_trace.cesaro_kl,
+        "bound_per_step": run.bound_per_step,
+    })
+    assert (tmp_path / "run" / "tidy.csv").read_bytes() == (tmp_path / "tidy.csv").read_bytes()
 
 
 def test_theorem1_inf_serialized_as_string(tmp_path, capsys):

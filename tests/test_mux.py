@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from predlab import (
     PI1,
+    AdversarialSource,
     ChainSpec,
     ChampernowneSource,
     CoinFlipSource,
     FileSource,
     KTPredictor,
+    LogInterval,
     MuX,
     PeriodicSource,
     SequenceSource,
@@ -27,7 +29,7 @@ from predlab import (
     stationarity_window_check,
     word_frequency,
 )
-from predlab.cli import main, parse_source_spec
+from predlab.cli import main, parse_predictor_spec, parse_source_spec
 from predlab import mux as mux_module
 from predlab.mux import ForwardState, _as_range
 
@@ -242,7 +244,7 @@ def _unshared_run(mux, y):
             continue
         step = mux.propagate(state)
         p1 = step.s1 / (step.s0 + step.s1)
-        width = mux._conditional_intervals(state, step)[0].width
+        width = LogInterval(*mux._conditional_ends(state, step, 0)).width
         out.append(repr(((1.0 - p1, p1), width, state.log2_mass())))
         state = mux.advance(state, s, step)
     return out + [repr(state.log2_mass())]
@@ -260,8 +262,9 @@ def _unshared_queries(mux, y):
     states = [mux.initial_state()]
     for s in y:
         states.append(mux.advance(states[-1], s))
-    return [repr((states[k].interval(), mux._conditional_intervals(
-        states[k - 1], mux.propagate(states[k - 1])))) for k in QUERY_LENGTHS]
+    return [repr((states[k].interval(), tuple(
+        LogInterval(*mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a))
+        for a in (0, 1)))) for k in QUERY_LENGTHS]
 
 
 @pytest.mark.parametrize("spec", SHARED_SPECS)
@@ -777,6 +780,70 @@ def test_range_step_counts_the_roundings_of_its_run(stride):
         assert sums[-1] == 2 * (len(o) + mux_module._CLASS_ROUNDINGS) + 1
 
 
+def _reference_roundings(x, J, y, range_used):
+    """The rounding count after each symbol of y, by the rules of README's
+    Numerics section, from the blocks a walk passes through; x[m - 1] is
+    state m's emission.  range_used[t] tells whether the class tables gave
+    the never-reset block's sums at time t, which is a question of the
+    numbers, not of the count.
+
+    A stationary weight carries 6 roundings and a transition probability 3;
+    the born dot product's n terms add n (a product and a sum each); a
+    block summed origin by origin adds one rounding per origin, and a
+    checked class-table difference over n terms of 6 + 3 + 1 roundings adds
+    2 (n + 10) + 1.  The first step only reads the initial weights."""
+    t, count, born, origins, out = 0, 6, [], list(range(1, J + 1)), []
+    for a in y:
+        if born or origins:  # a dead past keeps its count
+            if t:
+                if not origins:
+                    block = 0
+                elif range_used.get(t):
+                    block = 2 * (len(origins) + 10) + 1
+                else:
+                    block = len(origins)
+                count += 3 + len(born) + block
+                born = [1] + [m + 1 for m in born]
+            # origin j is in state j + t once the step is taken
+            born = [m for m in born if x[m - 1] == a]
+            origins = [j for j in origins if x[j + t - 1] == a]
+            t += 1
+            if len(origins) < 64:  # a short block joins the reset-born one
+                born, origins = sorted(born + [j + t - 1 for j in origins]), []
+        out.append((count, len(born) + len(origins)))
+    return out
+
+
+ROUNDING_COUNT_SPECS = ["periodic:01", "coin:5", "champernowne", "periodic:0", "periodic:011"]
+
+
+@pytest.mark.parametrize("trunc, steps", [(64, 200), (500, 600), (10_000, 200)])
+@pytest.mark.parametrize("spec", ROUNDING_COUNT_SPECS)
+def test_rounding_count_follows_the_numerics_rules(monkeypatch, spec, trunc, steps):
+    # the target's own prefix takes the tables past their first capacity,
+    # J + 64, in all cases but coin:5 and champernowne at J = 1e4, whose
+    # alive states stay far below it
+    range_sums, range_used = MuX._range_sums, {}
+
+    def spied(self, o, t):
+        sums = range_sums(self, o, t)
+        range_used[t] = sums is not None
+        return sums
+
+    monkeypatch.setattr(MuX, "_range_sums", spied)
+    src = parse_source_spec(spec)
+    x = src.prefix_array(trunc + steps + 1).tolist()
+    for y in (x[:steps], MuX(src).sample_trajectory(steps, seed=trunc).tolist()):
+        range_used.clear()
+        mux = MuX(src, ChainSpec(trunc))
+        pred, got = mux.predictor(), []
+        for s in y:
+            pred.observe(s)
+            got.append((pred._state.roundings,
+                        len(pred._state.born_states) + len(pred._state.origins)))
+        assert got == _reference_roundings(x, trunc, y, range_used)
+
+
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
 @example([1, 3, 4, 7])  # even ends, uneven inside
 @example([1, 3, 5, 8])  # even start, the ends rule it out
@@ -873,6 +940,27 @@ def test_logged_width_is_the_next_zero_enclosure_width(spec, first):
         pred.predict()
         assert repr(pred.last_interval_width) == repr(mux.conditional_next(y[:t])[0].width)
         pred.observe(s)
+@pytest.mark.parametrize("rho", ["uniform", "kt", "mix:3", "mux:periodic:01"])
+def test_logged_width_is_the_enclosure_width_on_theorem1_sequences(rho):
+    # the battery's sequences at its size: the width logged after every
+    # predict is that of the LogInterval conditional_next builds from the
+    # same ends; the public query, which walks a fresh predictor, is
+    # checked at the first steps and then every 25th (it costs O(t) each)
+    src = AdversarialSource(parse_predictor_spec(rho, 10_000))
+    y = src.prefix_array(500).tolist()
+    mux = MuX(src, ChainSpec(10_000))
+    pred = mux.predictor()
+    for t, s in enumerate(y):
+        pred.predict()
+        width = repr(pred.last_interval_width)
+        if pred._state.total > 0.0:
+            ends = mux._conditional_ends(pred._state, pred._propagated(), 0)
+            assert width == repr(LogInterval(*ends).width)
+        if t < 20 or t % 25 == 0:
+            assert width == repr(mux.conditional_next(y[:t])[0].width)
+        pred.observe(s)
+
+
 def test_fields_read_by_the_benchmark_trace():
     # the traced benchmark run (perfbench/tracing.py) reads these names
     mux = mux01(100)
