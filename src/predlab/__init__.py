@@ -45,12 +45,8 @@ from .core import (
     prob,
 )
 from .loss import (
-    DiracMeasure,
     LossTrace,
-    check_pinsker,
     dirac_kl,
-    expected_kl,
-    pinsker_abs_bound,
     stationarity_window_check,
     window_distribution,
     word_frequency,
@@ -76,8 +72,7 @@ __all__ = [
     "FileSource", "LogInterval", "PeriodicSource", "Predictor",
     "SequenceSource", "SourceExhaustedError", "Symbol", "Word",
     "format_bits", "log2_sum", "parse_bits", "prob",
-    "DiracMeasure", "LossTrace", "check_pinsker", "dirac_kl",
-    "expected_kl", "pinsker_abs_bound", "stationarity_window_check",
+    "LossTrace", "dirac_kl", "stationarity_window_check",
     "window_distribution", "word_frequency",
     "ForwardState", "MuX", "MuxPredictor",
     "brute_force_marginal", "log_loss_bound",

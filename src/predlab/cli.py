@@ -241,6 +241,14 @@ def _cmd_ergodicity(args) -> int:
     return EXIT_OK
 
 
+def _width_budget(text: str) -> float:
+    """A ``--max-width`` value: a float >= 0 (NaN would turn the check off)."""
+    width = float(text)
+    if not width >= 0.0:
+        raise argparse.ArgumentTypeError(f"width budget must be >= 0, got {text}")
+    return width
+
+
 @functools.cache  # built on the first call, shared after it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -263,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_marg.add_argument("--target", required=True)
     p_marg.add_argument("--query", required=True)
     p_marg.add_argument("--trunc", type=int, default=10_000)
-    p_marg.add_argument("--max-width", type=float, default=None)
+    p_marg.add_argument("--max-width", type=_width_budget, default=None)
     p_marg.add_argument("--out", default=None)
     p_marg.set_defaults(func=_cmd_mux_marginal)
     p_samp = mux_sub.add_parser("sample", help="sample a trajectory")
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--rho", required=True)
     p_thm.add_argument("-n", type=int, required=True)
     p_thm.add_argument("--trunc", type=int, default=10_000)
-    p_thm.add_argument("--max-width", type=float, default=None)
+    p_thm.add_argument("--max-width", type=_width_budget, default=None)
     p_thm.add_argument("--out", required=True)
     p_thm.set_defaults(func=_cmd_theorem1)
 

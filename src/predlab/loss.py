@@ -1,8 +1,8 @@
 """Prediction-quality functionals: cumulative log2 (KL) loss along a fixed
-sequence, Monte-Carlo expected KL between measures, bounded absolute and
-squared per-step losses with Cesaro averages, word frequencies and window
-distributions (all read from one window count, word length k <= MAX_WINDOW),
-and the CSV artifacts (all written by one CSV writer).
+sequence, bounded absolute and squared per-step losses with Cesaro averages,
+word frequencies and window distributions (all read from one window count,
+word length k <= MAX_WINDOW), and the CSV artifacts (all written by one CSV
+writer).
 
 A per-step loss of +inf (the predictor assigned probability zero to the
 realized symbol) is recorded as the float inf sentinel; cumulative sums and
@@ -11,16 +11,13 @@ Cesaro averages containing it are themselves inf.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .core import DiracPredictor, Predictor, SequenceSource, Word, validate_symbol
-
-_LN2 = math.log(2.0)
+from .core import Predictor, SequenceSource, Word, validate_symbol
 
 CSV_COLUMNS = [
     "step", "kl_bits", "cum_kl_bits", "cesaro_kl",
@@ -125,96 +122,25 @@ def trace_from_realized_probs(probs) -> LossTrace:
     return LossTrace(kl_bits=kl, abs_loss=miss, sq_loss=2.0 * miss * miss)
 
 
-def realized_conditionals(x: SequenceSource, rho: Predictor, n: int) -> np.ndarray:
-    """rho(x_t | x_{1..t-1}) for t = 1..n, via one incremental pass on a
-    fresh instance of rho."""
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    pred = rho.fresh()
-    out = np.empty(n, dtype=np.float64)
-    for t in range(1, n + 1):
-        p0, p1 = pred.predict()
-        s = x.symbol_at(t)
-        out[t - 1] = p1 if s else p0
-        pred.observe(s)
-    return out
-
-
 def dirac_kl(x: SequenceSource, rho: Predictor, n: int) -> LossTrace:
     """Cumulative KL loss of rho on the deterministic sequence x.
 
     Because the data measure is concentrated on x, the expected per-step KL
     reduces to -log2 rho(x_t | x_{1..t-1}) and the cumulative loss equals
     -log2 rho(x_{1..n}) by the chain rule.  Steps where rho assigns x_t
-    probability zero are recorded as +inf and the run continues.
-    """
-    return trace_from_realized_probs(realized_conditionals(x, rho, n))
-
-
-def _kl_term(q: float, r: float) -> float:
-    """q * log2(q / r), with 0 log 0 = 0 and q > 0, r = 0 -> inf."""
-    if q <= 0.0:
-        return 0.0
-    if r <= 0.0:
-        return math.inf
-    return q * math.log2(q / r)
-
-
-def expected_kl(
-    mu,
-    rho: Predictor,
-    n: int,
-    num_samples: int = 100,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (value, stderr) of the expected cumulative KL
-    divergence between mu- and rho-conditionals over horizon n.
-
-    ``mu`` must expose ``predictor()`` and ``sample_trajectory(n, seed)``
-    (true for both the tracking measure and Dirac sources).  Per-trajectory
-    seeds are spawned deterministically from ``seed``.  For a Dirac mu every
-    trajectory is the same, the estimate equals ``dirac_kl``'s cumulative
-    value, and the stderr is zero.
+    probability zero are recorded as +inf and the run continues.  The
+    conditionals come from one incremental pass on a fresh instance of rho.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    child_seeds = np.random.SeedSequence(seed).generate_state(num_samples)
-    totals = np.empty(num_samples, dtype=np.float64)
-    for i in range(num_samples):
-        y = mu.sample_trajectory(n, int(child_seeds[i]))
-        mu_pred = mu.predictor()
-        rho_pred = rho.fresh()
-        acc = 0.0
-        for t in range(n):
-            q0, q1 = mu_pred.predict()
-            r0, r1 = rho_pred.predict()
-            acc += _kl_term(q0, r0) + _kl_term(q1, r1)
-            s = int(y[t])
-            mu_pred.observe(s)
-            rho_pred.observe(s)
-        totals[i] = acc
-    if np.isinf(totals).any():
-        return math.inf, math.inf
-    estimate = float(np.mean(totals))
-    if num_samples == 1:
-        return estimate, 0.0
-    stderr = float(np.std(totals, ddof=1) / math.sqrt(num_samples))
-    return estimate, stderr
-
-
-class DiracMeasure:
-    """Measure view of a deterministic sequence, for ``expected_kl``."""
-
-    def __init__(self, source: SequenceSource) -> None:
-        self.source = source
-
-    def predictor(self) -> Predictor:
-        return DiracPredictor(self.source)
-
-    def sample_trajectory(self, n: int, seed: int) -> np.ndarray:
-        return self.source.prefix_array(n)
+    pred = rho.fresh()
+    probs = np.empty(n, dtype=np.float64)
+    for t in range(1, n + 1):
+        p0, p1 = pred.predict()
+        s = x.symbol_at(t)
+        probs[t - 1] = p1 if s else p0
+        pred.observe(s)
+    return trace_from_realized_probs(probs)
 
 
 #: largest k for the counted window statistics: they hold 2^k bins
@@ -299,16 +225,3 @@ def stationarity_window_check(
     return list(zip(_code_words(present, k), fa[present].tolist(),
                     fb[present].tolist(), se[present].tolist()))
 
-
-def pinsker_abs_bound(cesaro_kl_bits):
-    """Upper bound sqrt(eps * ln 2 / 2) on the Cesaro absolute loss implied
-    by a Cesaro KL of eps bits (total-variation form of Pinsker's inequality
-    plus Jensen), elementwise; an infinite KL gives an infinite bound."""
-    return np.sqrt(np.maximum(cesaro_kl_bits, 0.0) * _LN2 / 2.0)
-
-
-def check_pinsker(trace: LossTrace, slack: float = 1e-6) -> bool:
-    """Whether every horizon of the trace satisfies the Pinsker corollary
-    cesaro_abs <= sqrt(cesaro_kl * ln2 / 2) + slack."""
-    bound = pinsker_abs_bound(trace.cesaro_kl) + slack
-    return not bool(np.any(trace.cesaro_abs > bound))

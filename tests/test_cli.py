@@ -78,6 +78,20 @@ def test_mux_marginal_width_budget_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(("budget", "expected"), [("nan", 2), ("-1", 2), ("1e-12", 3)])
+@pytest.mark.parametrize("command", [
+    ["mux", "marginal", "--target", "periodic:01", "--query", "0", "--trunc", "10"],
+    ["theorem1", "--rho", "kt", "-n", "20", "--trunc", "200"],
+])
+def test_width_budget_exit_codes(tmp_path, capsys, command, budget, expected):
+    # NaN would silently pass every width and a negative budget fail every
+    # run, so both are usage errors; a budget no run can meet exits 3
+    code = main([*command, f"--max-width={budget}", "--out", str(tmp_path / "run")])
+    assert code == expected
+    assert ("width budget must be >= 0" in capsys.readouterr().err) == (expected == 2)
+    assert not (tmp_path / "run").exists()
+
+
 def test_mux_sample_deterministic(capsys):
     code, out1 = run_cli(capsys, "mux", "sample", "--target", "periodic:01",
                          "-n", "200", "--seed", "11")

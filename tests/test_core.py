@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predlab
 from predlab import (
     IMPOSSIBLE,
     AdversarialSource,
@@ -37,6 +38,12 @@ def test_star_import_exposes_no_modules():
     exec("from predlab import *", namespace)
     assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert "MuX" in namespace and "sample_path" in namespace
+
+
+def test_public_names_are_unique_and_resolve():
+    # a deleted name left in __all__ would break ``from predlab import *``
+    assert len(set(predlab.__all__)) == len(predlab.__all__)
+    assert [name for name in predlab.__all__ if not hasattr(predlab, name)] == []
 
 
 @given(words)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from predlab import (
     ChainSpec,
-    DiracMeasure,
     DiracPredictor,
     FiniteOrderMixture,
     KTPredictor,
@@ -16,10 +15,7 @@ from predlab import (
     MuX,
     PeriodicSource,
     UniformPredictor,
-    check_pinsker,
     dirac_kl,
-    expected_kl,
-    pinsker_abs_bound,
     stationarity_window_check,
     window_distribution,
     word_frequency,
@@ -122,22 +118,22 @@ def test_loss_ranges_and_monotone_cumulative():
 
 
 def test_pinsker_corollary_on_traces():
+    # cesaro_abs <= sqrt(cesaro_kl * ln 2 / 2) at every horizon: Pinsker's
+    # inequality plus Jensen ties the trace's absolute-loss and KL columns
     src = PeriodicSource("01")
     for rho in (
         UniformPredictor(),
         KTPredictor(),
         MuX(src, ChainSpec(2000)).predictor(),
     ):
-        assert check_pinsker(dirac_kl(src, rho, 300))
+        trace = dirac_kl(src, rho, 300)
+        bound = np.sqrt(trace.cesaro_kl * math.log(2.0) / 2.0) + 1e-6
+        assert (trace.cesaro_abs <= bound).all()
 
 
-def test_pinsker_bound_is_elementwise_and_check_can_fail():
-    bound = pinsker_abs_bound(np.array([-1.0, 0.0, 2.0, math.inf]))
-    assert bound.tolist() == [0.0, 0.0, math.sqrt(math.log(2.0)), math.inf]
-    zeros = np.zeros(4)
-    assert check_pinsker(LossTrace(kl_bits=zeros, abs_loss=zeros, sq_loss=zeros))
-    miss = np.full(4, 0.5)  # abs loss 1/2 at zero KL breaks the corollary
-    assert not check_pinsker(LossTrace(kl_bits=zeros, abs_loss=miss, sq_loss=zeros))
+def test_dirac_kl_refuses_an_empty_horizon():
+    with pytest.raises(ValueError, match="horizon"):
+        dirac_kl(PeriodicSource("01"), KTPredictor(), 0)
 
 
 def test_trace_scores_subnormal_probabilities_exactly():
@@ -202,65 +198,6 @@ def test_tidy_csv_refuses_metric_names_csv_would_quote(tmp_path, name):
     with pytest.raises(ValueError, match="metric names"):
         write_tidy_csv(tmp_path / "tidy.csv", {"ok": np.ones(2), name: np.ones(2)})
     assert not (tmp_path / "tidy.csv").exists()
-
-
-# ---------------------------------------------------------------------------
-# expected KL
-# ---------------------------------------------------------------------------
-
-
-def test_expected_kl_identical_measures():
-    mux = MuX(PeriodicSource("01"), ChainSpec(1000))
-    est, se = expected_kl(mux, mux.predictor(), n=15, num_samples=6, seed=1)
-    assert est == 0.0
-    assert se == 0.0
-
-
-def test_expected_kl_dirac_reduces_exactly():
-    src = PeriodicSource("011")
-    measure = DiracMeasure(src)
-    est, se = expected_kl(measure, KTPredictor(), n=40, num_samples=5, seed=2)
-    trace = dirac_kl(src, KTPredictor(), 40)
-    assert est == float(trace.cum_kl_bits[-1])
-    assert se == 0.0
-
-
-def test_expected_kl_against_enumeration():
-    # exhaustive oracle: sum over all words of length n, weighted by the
-    # measure's own word probability (product of its conditionals)
-    n = 8
-    mux = MuX(PeriodicSource("01"), ChainSpec(500))
-    rho = UniformPredictor()
-    total = 0.0
-    for idx in range(1 << n):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        qp = mux.predictor()
-        rp = rho.fresh()
-        log2_q = 0.0
-        log2_r = 0.0
-        alive = True
-        for s in bits:
-            q0, q1 = qp.predict()
-            r0, r1 = rp.predict()
-            q = q1 if s else q0
-            if q <= 0.0:
-                alive = False
-                break
-            log2_q += math.log2(q)
-            log2_r += math.log2(r1 if s else r0)
-            qp.observe(s)
-            rp.observe(s)
-        if alive:
-            total += 2.0**log2_q * (log2_q - log2_r)
-    est, se = expected_kl(mux, rho, n=n, num_samples=150, seed=3)
-    assert est == pytest.approx(total, abs=3.0 * se + 1e-3)
-    assert est >= -3.0 * se
-
-
-def test_expected_kl_nonnegative_for_distinct_measures():
-    mux = MuX(PeriodicSource("01"), ChainSpec(500))
-    est, se = expected_kl(mux, KTPredictor(), n=20, num_samples=50, seed=4)
-    assert est >= -3.0 * se
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from predlab import (
     ChampernowneSource,
     CoinFlipSource,
     FileSource,
-    KTPredictor,
     LogInterval,
     MuX,
     PeriodicSource,
@@ -23,7 +22,6 @@ from predlab import (
     SourceExhaustedError,
     brute_force_marginal,
     dirac_kl,
-    expected_kl,
     log_loss_bound,
     parse_bits,
     stationarity_window_check,
@@ -300,7 +298,6 @@ def test_first_step_is_propagated_once_per_mux(monkeypatch):
             pred.observe(s)
     mux.marginal((0, 1))
     mux.conditional_next((1,))
-    expected_kl(mux, KTPredictor(), n=20, num_samples=5)
     assert calls.count(0) == 1
     # the shared arrays are read-only, so no later step can change them
     arrays = [a for v in mux._first.values()
