@@ -15,11 +15,14 @@ are evenly spaced with stride s they are a range, whose states at one step
 are one run of one residue class mod s, and the same three class tables
 for every stride (stride 1 too) give its sums as differences T_lo - T_hi
 of two entries, in O(1), each used only when T_hi <= T_lo - T_hi
-(``MuX._class_tables``).  Otherwise (a split, a
-failed check, an index array) its sums are formed on the fly in chunks of
-_CHUNK states, in O(block).  The *reset-born block*, the states below
-t, keeps explicit weights; a never-reset block of fewer than _MIN_BLOCK
-origins joins it, as its per-step numpy calls would cost more than it saves.
+(``MuX._class_tables``).  Otherwise (a split, a failed check, an index
+array) its sums are formed on the fly in chunks of _CHUNK states, in
+O(block).  The *reset-born block*, the states below t, keeps explicit
+weights.  A never-reset block joins it as a range of fewer than _MIN_BLOCK
+origins or an index array of at most _CHUNK; a longer index array stays a
+block, as its int64 origins and chunked temporaries take less memory than
+explicit weights.  Both blocks split their sums by emission as dots
+against the 0/1 emission mask.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
@@ -80,10 +83,11 @@ _LOG_SLACK = 8.0 * _U
 
 _NO_ORIGINS = range(0)
 _ZERO = np.zeros(1, dtype=np.int64)
-#: a never-reset block with fewer origins joins the reset-born block
+#: a range of fewer origins joins the reset-born block: its numpy calls cost more
 _MIN_BLOCK = 64
 #: weights formed on the fly (sums without class tables, table builds) are
-#: formed this many states at a time
+#: formed this many states at a time; an index array of at most this many
+#: origins joins the reset-born block, a longer one keeps its int64 form
 _CHUNK = 1 << 15
 #: roundings behind a class table's term: pi_c (6), 1 - p_c (3), their product
 _CLASS_ROUNDINGS = _INIT_ROUNDINGS + _TABLE_ROUNDINGS + 1
@@ -164,11 +168,13 @@ class ForwardState:
     j + t - 1 with weight pi1/(j + t - 1)^2, which carries _INIT_ROUNDINGS
     roundings.  ``born_states`` (ascending, 1-based) and ``born_weights`` are
     the reset-born block: the states below t, plus the paths of a never-reset
-    block that shrank below _MIN_BLOCK origins, each weight within a factor
-    1 +- gamma_roundings of exact.  True weights are weights * 2**scale_log2;
-    only a state without a never-reset block is rescaled.  ``total`` is the
-    sum of all alive weights; dropped_mass is an absolute certified bound on
-    all excluded weight.
+    block that joined it (a range below _MIN_BLOCK origins, or an index array
+    of at most _CHUNK, whose int64 form saves memory only above that), each
+    weight within a factor 1 +- gamma_roundings of exact; its sums are dots
+    against the emission mask.  True weights are weights * 2**scale_log2; only
+    a state without a never-reset block is rescaled.  ``total`` is the sum of
+    all alive weights; dropped_mass is an absolute certified bound on all
+    excluded weight.
 
     ``ForwardState(t, states, weights, dropped_mass, ...)`` builds a state
     whose weights are all explicit.  ``states`` and ``weights`` read all
@@ -224,8 +230,8 @@ class Transition(NamedTuple):
     """``MuX.propagate``'s pre-emission weights at time t+1.
 
     born_states, born_weights and roundings are as in ForwardState (the
-    reset-born block now holds the new state 1 in front); born_ones and
-    born_zeros mark its states emitting 1 and 0.  origins is unchanged.
+    reset-born block now holds the new state 1 in front); born_ones marks
+    its states emitting 1.  origins is unchanged.
     common is the one symbol all their next states emit, or None if they
     differ; then origin_ones marks the origins whose next state emits 1 (a
     view of the emission table for a range).  s0, s1 are the sums of all weights by emission.
@@ -234,7 +240,6 @@ class Transition(NamedTuple):
     born_states: np.ndarray
     born_weights: np.ndarray
     born_ones: np.ndarray
-    born_zeros: np.ndarray
     origins: range | np.ndarray
     origin_ones: np.ndarray | None
     common: int | None
@@ -354,8 +359,7 @@ class MuX:
             inflow, b0, b1, origin_ones, common, block_roundings = (
                 sums or self._direct_sums(o, t))
         if t == 0:
-            states, v, roundings = s, w, state.roundings
-            ones = self._ones[s - 1]
+            states, v, roundings, ones = s, w, state.roundings, self._ones[s - 1]
         else:
             previous = np.concatenate((_ZERO, s))  # states - 1
             states = previous + 1
@@ -370,12 +374,10 @@ class MuX:
             up *= w
             ones = self._ones.take(previous)
             # the born dot product's terms each add a product and a sum
-            roundings = (state.roundings + _TABLE_ROUNDINGS + len(s)
-                         + block_roundings)
-        zeros = ~ones
-        s1 = float(np.add.reduce(v, where=ones)) + b1
-        s0 = float(np.add.reduce(v, where=zeros)) + b0
-        return Transition(states, v, ones, zeros, o, origin_ones, common, s0, s1, roundings)
+            roundings = state.roundings + _TABLE_ROUNDINGS + len(s) + block_roundings
+        # dots against the 0/1 emission masks, whose products are exact
+        s1, s0 = float(v.dot(ones)) + b1, float(v.dot(~ones)) + b0
+        return Transition(states, v, ones, o, origin_ones, common, s0, s1, roundings)
 
     # with c = j + t - 1, the path from origin j is next in state c + 1,
     # weighs pi[c + 1] and emits x_{c+1}; at t >= 1 it sends c's reset share
@@ -406,14 +408,12 @@ class MuX:
                            if isinstance(o, range) else o + (t - 1)]
         k = np.count_nonzero(emits)
         inflow = b0 = b1 = 0.0
-        mask = np.empty(min(len(o), _CHUNK))
         for i, c in _chunks(o, t - 1):
             if t:
                 inflow += float(_reset_share(c).sum())
-            block, m = _stationary(c + 1.0), mask[:len(c)]
-            np.copyto(m, emits[i:i + _CHUNK])  # a 0/1 mask: its products are exact
-            b1 += float(block @ m) if k else 0.0
-            b0 += float(block @ np.subtract(1.0, m, out=m)) if k < len(o) else 0.0
+            block, e = _stationary(c + 1.0), emits[i:i + _CHUNK]
+            b1 += float(block.dot(e)) if k else 0.0
+            b0 += float(block.dot(~e)) if k < len(o) else 0.0
         common = int(k > 0) if k in (0, len(o)) else None
         # each term of the inflow adds a product and a sum
         return inflow, b0, b1, emits if common is None else None, common, len(o)
@@ -424,8 +424,8 @@ class MuX:
         validate_symbol(symbol)
         if step is None:
             step = self.propagate(state)
-        keep = step.born_ones if symbol else step.born_zeros
-        states, w = step.born_states[keep], step.born_weights[keep]
+        keep = (step.born_ones if symbol else ~step.born_ones).nonzero()[0]
+        states, w = step.born_states.take(keep), step.born_weights.take(keep)
         origins = step.origins
         if step.common is not None:
             if step.common != symbol:
@@ -439,8 +439,7 @@ class MuX:
             else:
                 origins = _as_range(origins[idx])
         total = step.s1 if symbol else step.s0
-        dropped = state.dropped_mass
-        scale = state.scale_log2
+        dropped, scale = state.dropped_mass, state.scale_log2
         # a never-reset weight is at least pi1/(J+t)^2, and every reset-born
         # one descends from an inflow of at least pi1/(J+t)^3 while the
         # never-reset block lives, so the floors below touch only the
@@ -458,16 +457,16 @@ class MuX:
                 dropped = float(np.nextafter(dropped + math.ldexp(bound, int(scale)), np.inf))
             states, w = states[~small], w[~small]
             total = float(w.sum())
-        new = ForwardState(t=state.t + 1, states=states, weights=w,
-                           dropped_mass=dropped, scale_log2=scale,
-                           roundings=step.roundings, total=total,
-                           origins=origins)
-        if 0 < len(origins) < _MIN_BLOCK:
-            # a few origins cost more per step as a block (its numpy calls)
-            # than as explicit weights; their 6 roundings are within the count
-            new = ForwardState(new.t, new.states, new.weights, dropped,
-                               roundings=step.roundings, total=total)
-        return new
+        if 0 < len(origins) < _MIN_BLOCK or (not isinstance(origins, range)
+                                             and len(origins) <= _CHUNK):
+            # the block joins the reset-born one, origin j in state j + t;
+            # its weights' 6 roundings are within the count
+            joined = np.asarray(origins, dtype=np.int64) + state.t
+            states = np.concatenate((states, joined))
+            w = np.concatenate((w, _stationary(joined.astype(np.float64))))
+            origins = _NO_ORIGINS
+        return ForwardState(state.t + 1, states, w, dropped, scale_log2=scale,
+                            roundings=step.roundings, total=total, origins=origins)
 
     # -- queries --------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from predlab import (
     word_frequency,
 )
 from predlab.cli import main, parse_predictor_spec, parse_source_spec
+from predlab.core import prob
 from predlab import mux as mux_module
 from predlab.mux import ForwardState, _as_range
 
@@ -616,7 +617,10 @@ class _ArraySource(SequenceSource):
         return self.bits[:n].copy()
 
 
-def test_forward_state_blocks_match_dense_recursion():
+def test_forward_state_blocks_match_dense_recursion(monkeypatch):
+    # index arrays of up to one chunk join the reset-born block; a chunk of
+    # 16 keeps them as blocks at J = 300 and sums them over several chunks
+    monkeypatch.setattr(mux_module, "_CHUNK", 16)
     rng = np.random.default_rng(8)
     # alternating up to J, random after it: the every-other-state range
     # meets mixed emissions once its top states pass J
@@ -788,7 +792,14 @@ def _reference_roundings(x, J, y, range_used):
     the born dot product's n terms add n (a product and a sum each); a
     block summed origin by origin adds one rounding per origin, and a
     checked class-table difference over n terms of 6 + 3 + 1 roundings adds
-    2 (n + 10) + 1.  The first step only reads the initial weights."""
+    2 (n + 10) + 1.  The first step only reads the initial weights.  A block
+    joins the reset-born one below 64 origins, or at up to 32Ki origins that
+    are not evenly spaced (an index array)."""
+
+    def joins(origins):
+        spaced = len(origins) < 3 or len(set(np.diff(origins).tolist())) == 1
+        return 0 < len(origins) < 64 or not spaced and len(origins) <= 1 << 15
+
     t, count, born, origins, out = 0, 6, [], list(range(1, J + 1)), []
     for a in y:
         if born or origins:  # a dead past keeps its count
@@ -805,7 +816,7 @@ def _reference_roundings(x, J, y, range_used):
             born = [m for m in born if x[m - 1] == a]
             origins = [j for j in origins if x[j + t - 1] == a]
             t += 1
-            if len(origins) < 64:  # a short block joins the reset-born one
+            if joins(origins):  # the block joins the reset-born one
                 born, origins = sorted(born + [j + t - 1 for j in origins]), []
         out.append((count, len(born) + len(origins)))
     return out
@@ -839,6 +850,71 @@ def test_rounding_count_follows_the_numerics_rules(monkeypatch, spec, trunc, ste
             got.append((pred._state.roundings,
                         len(pred._state.born_states) + len(pred._state.origins)))
         assert got == _reference_roundings(x, trunc, y, range_used)
+
+
+@given(st.integers(1, 300), st.sampled_from(["random", "alternating", "zeros", "ones"]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_born_block_split_is_within_the_counted_error(n, mask, seed):
+    # a reset-born block alone (so b0 = b1 = 0) of states 1..n at t = n + 1:
+    # after the step its states 1..n + 1 emit the target's bits 1..n + 1
+    rng = np.random.default_rng(seed)
+    bits = {"random": rng.integers(0, 2, size=n + 1),
+            "alternating": (np.arange(n + 1) + seed) % 2,
+            "zeros": np.zeros(n + 1), "ones": np.ones(n + 1)}[mask]
+    mux = MuX(_ArraySource(bits, mask), ChainSpec(1))
+    w = 2.0 ** rng.uniform(-60.0, 0.0, size=n)  # 18 decades of magnitudes
+    state = ForwardState(n + 1, np.arange(1, n + 1, dtype=np.int64), w, 0.0,
+                         roundings=6, total=math.fsum(w))
+    step = mux.propagate(state)
+    assert not len(step.origins) and len(step.born_weights) == n + 1
+    for s_a, emits in ((step.s0, ~step.born_ones), (step.s1, step.born_ones)):
+        want = math.fsum(step.born_weights[emits])
+        assert abs(s_a - want) <= mux_module._rel_err(step) * want
+
+
+@pytest.mark.parametrize("spec", ROUNDING_COUNT_SPECS)
+def test_index_arrays_of_up_to_one_chunk_join_without_changing_the_conditionals(
+        monkeypatch, spec):
+    # a chunk of 1 joins no index array of 64 origins or more (an index
+    # array has at least 3), as ranges alone join; the default chunk joins
+    # index arrays of up to 32Ki origins.  Joined weights then follow the
+    # born recursion instead of pi1/m^2, so the conditionals agree up to
+    # rounding, the alive counts exactly, and so do the rounding counts
+    # while a joined origin adds one rounding a step either way
+    src = parse_source_spec(spec)
+    words = (src.prefix_array(200).tolist(),
+             MuX(src).sample_trajectory(200, seed=5).tolist())
+
+    def run(y):
+        mux, out = MuX(src, ChainSpec(10_000)), []
+        pred = mux.predictor()
+        for s in y:
+            state = pred._state
+            ends = [prob(e) for a in (0, 1)
+                    for e in mux._conditional_ends(state, pred._propagated(), a)]
+            out.append((pred.predict() + tuple(ends), state.roundings,
+                        len(state.born_states) + len(state.origins),
+                        type(state.origins) if len(state.origins) else None))
+            pred.observe(s)
+        return out
+
+    joined = [run(y) for y in words]
+    monkeypatch.setattr(mux_module, "_CHUNK", 1)
+    blocks = [run(y) for y in words]
+    arrays = 0
+    for got, want in zip(joined, blocks):
+        diverged = False
+        for (p, r, alive, kind), (q, want_r, want_alive, want_kind) in zip(got, want):
+            assert p == pytest.approx(q, rel=1e-12, abs=0)
+            assert alive == want_alive
+            # a split can turn the unjoined index array into a range, whose
+            # class-table sums add 2 (n + 10) + 1 roundings instead of n
+            diverged |= want_kind is range and kind is None
+            assert r <= want_r if diverged else r == want_r
+            arrays += want_kind is np.ndarray and kind is None
+    if spec in ("coin:5", "champernowne", "periodic:011"):  # the joined index arrays
+        assert arrays > 0
 
 
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
