@@ -72,10 +72,10 @@ def log2_sum(a: float, b: float) -> float:
 class LogInterval:
     """Certified enclosure [lower, upper] of a probability, in log2 space.
 
-    The probability-space width of the interval equals the certified mass
-    excluded by truncation, so refining the truncation tightens it.  When
-    that mass is known exactly it is carried in ``width_prob``; otherwise the
-    width is derived from the log2 endpoints.
+    ``width`` is ``width_prob`` when that is given: a marginal below 1
+    carries there the certified mass excluded by truncation, so refining the
+    truncation tightens it.  Otherwise (a conditional, say) the width is
+    upper - lower in probability space, the rounding term included.
     """
 
     lower_log2: float
@@ -160,7 +160,8 @@ class SequenceSource(ABC):
 
     @abstractmethod
     def prefix_array(self, n: int) -> np.ndarray:
-        """First n symbols as a uint8 array; a negative n raises ValueError."""
+        """First n symbols as a uint8 array that the caller owns: no later
+        read changes it.  A negative n raises ValueError."""
 
     def prefix(self, n: int) -> Word:
         return tuple(self.prefix_array(n).tolist())
@@ -231,21 +232,19 @@ class CoinFlipSource(SequenceSource):
     The stream comes in blocks of 2^16 symbols, each drawn from 8192 raw
     64-bit outputs (8 symbols per output), so block b starts 8192 b outputs
     into the stream.  Every read draws whole blocks from one generator,
-    advanced to the first block it needs: ``prefix_array`` extends a cached
-    prefix by its missing blocks in one draw, and ``symbol_at`` past that
-    prefix draws only the block holding its index, so a far index costs one
-    block, not the whole prefix.
+    advanced to the first block it needs: ``prefix_array`` draws its blocks
+    afresh in one draw and keeps none, and ``symbol_at`` draws only the block
+    holding its index and keeps that one block, so ascending reads draw each
+    block once and a far index costs one block, not the whole prefix.
     """
 
     _BLOCK = 1 << 16
     _BLOCK_DRAWS = _BLOCK // 8
-    _FAR_BLOCKS = 16  # far blocks kept, at most 1 MiB
 
     def __init__(self, seed: int) -> None:
         self.seed = int(seed)
         self.spec = f"coin:{self.seed}"
-        self._cache = np.empty(0, dtype=np.uint8)
-        self._far: dict[int, np.ndarray] = {}
+        self._last = (-1, np.empty(0, dtype=np.uint8))  # the block symbol_at read last
 
     def _blocks(self, b: int, count: int) -> np.ndarray:
         """Blocks b .. b + count - 1 of the stream, in one draw."""
@@ -256,24 +255,15 @@ class CoinFlipSource(SequenceSource):
     def symbol_at(self, t: int) -> Symbol:
         if t < 1:
             raise ValueError("t must be >= 1")
-        if t <= len(self._cache):
-            return int(self._cache[t - 1])
         b, i = divmod(t - 1, self._BLOCK)
-        if b not in self._far:
-            if len(self._far) >= self._FAR_BLOCKS:
-                del self._far[next(iter(self._far))]  # the oldest
-            self._far[b] = self._blocks(b, 1)
-        return int(self._far[b][i])
+        if self._last[0] != b:
+            self._last = (b, self._blocks(b, 1))
+        return int(self._last[1][i])
 
     def prefix_array(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        have = len(self._cache) // self._BLOCK
-        blocks = -(-n // self._BLOCK) - have
-        if blocks > 0:
-            more = self._blocks(have, blocks)
-            self._cache = np.concatenate([self._cache, more])
-        return self._cache[:n].copy()
+        return self._blocks(0, -(-n // self._BLOCK))[:n]
 
 
 class FileSource(SequenceSource):

@@ -176,24 +176,24 @@ class ForwardState:
     all alive weights; dropped_mass is an absolute certified bound on all
     excluded weight.
 
-    ``ForwardState(t, states, weights, dropped_mass, ...)`` builds a state
-    whose weights are all explicit.  ``states`` and ``weights`` read all
-    alive states, ascending, materialised on each read; no weight is zero.
+    The constructor takes the reset-born block and the total as given.  The
+    properties ``states`` and ``weights`` read all alive states, both
+    blocks, ascending, materialised on each read; no weight is zero.
     """
 
-    def __init__(self, t: int, states: np.ndarray, weights: np.ndarray,
-                 dropped_mass: float, scale_log2: float = 0.0, roundings: int = 0,
-                 total: float | None = None, origins=_NO_ORIGINS) -> None:
+    def __init__(self, t: int, born_states: np.ndarray, born_weights: np.ndarray,
+                 dropped_mass: float, *, total: float, scale_log2: float = 0.0,
+                 roundings: int = 0, origins=_NO_ORIGINS) -> None:
         # a never-reset weight is at least pi1/(J+t)^2, far above the floors
         assert scale_log2 == 0.0 or not len(origins)
         self.t = t
-        self.born_states = states
-        self.born_weights = weights
+        self.born_states = born_states
+        self.born_weights = born_weights
         self.origins = origins
         self.dropped_mass = dropped_mass
         self.scale_log2 = scale_log2
         self.roundings = roundings
-        self.total = float(np.sum(self.weights)) if total is None else total
+        self.total = total
 
     @property
     def states(self) -> np.ndarray:
@@ -419,11 +419,9 @@ class MuX:
         return inflow, b0, b1, emits if common is None else None, common, len(o)
 
     def advance(self, state: ForwardState, symbol: Symbol,
-                step: Transition | None = None) -> ForwardState:
-        """Consume one symbol; pass ``step`` to reuse a ``propagate`` result."""
+                step: Transition) -> ForwardState:
+        """Consume one symbol, given ``step = self.propagate(state)``."""
         validate_symbol(symbol)
-        if step is None:
-            step = self.propagate(state)
         keep = (step.born_ones if symbol else ~step.born_ones).nonzero()[0]
         states, w = step.born_states.take(keep), step.born_weights.take(keep)
         origins = step.origins

@@ -17,11 +17,30 @@ from predlab import (
     dirac_kl,
     format_bits,
 )
+from predlab.cli import parse_predictor_spec
 from predlab.core import sum_left
 
 from conftest import predictor_battery
 
 pasts = st.lists(st.integers(0, 1), max_size=25).map(tuple)
+
+
+@pytest.mark.parametrize("spec, past", [
+    ("uniform", (0, 1)), ("kt", (0, 1)), ("mix:3", (0, 1, 1)),
+    ("dirac:coin:1", (1, 0)),
+    ("mux:periodic:01", ()),         # live, on the shared first step
+    ("mux:periodic:01", (0, 1, 0)),  # live, past the shared steps
+    ("mux:periodic:0", (1, 0)),      # a dead past
+])
+def test_observe_refuses_symbols_other_than_0_and_1(spec, past):
+    pred = parse_predictor_spec(spec, trunc=100)
+    for s in past:
+        pred.observe(s)
+    before = pred.predict()
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="symbol must be 0 or 1"):
+            pred.observe(bad)
+    assert pred.predict() == before  # a refused symbol leaves the past as it was
 
 
 def test_uniform_everywhere():

@@ -103,6 +103,15 @@ def test_mux_sample_deterministic(capsys):
     assert len(out1.strip()) == 200
 
 
+def test_mux_sample_out_file_holds_the_printed_line(tmp_path, capsys):
+    path = tmp_path / "nested" / "sample.txt"  # its parent is made too
+    code, out = run_cli(capsys, "mux", "sample", "--target", "coin:2",
+                        "-n", "300", "--seed", "4", "--out", str(path))
+    assert code == 0
+    assert path.read_bytes() == out.encode("utf-8")
+    assert out.endswith("\n") and len(out) == 301 and set(out[:-1]) <= {"0", "1"}
+
+
 def test_loss_run_writes_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "loss_run"
     code, out = run_cli(capsys, "loss", "--rho", "kt", "--target", "periodic:01",

@@ -150,9 +150,22 @@ def test_coin_flip_draws_missing_blocks_as_one_stream():
                               ref[:3 * block + 5])
 
 
+def _held_bytes(obj) -> int:
+    """Bytes of the numpy arrays an object holds in its attributes."""
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        if isinstance(v, (tuple, list)):
+            return sum(walk(u) for u in v)
+        if isinstance(v, dict):
+            return sum(walk(u) for u in v.values())
+        return 0
+    return walk(vars(obj))
+
+
 def test_coin_flip_far_blocks_match_the_stream():
-    # symbol_at past the cached prefix draws its block from a generator
-    # advanced to the block start; it must read the sequential stream
+    # symbol_at draws its block from a generator advanced to the block
+    # start; it must read the sequential stream
     block = CoinFlipSource._BLOCK
     for seed in (0, 1, 5):
         ref = CoinFlipSource(seed).prefix_array(6 * block)
@@ -163,30 +176,54 @@ def test_coin_flip_far_blocks_match_the_stream():
         # far reads leave the sequential stream untouched
         assert np.array_equal(src.prefix_array(6 * block), ref)
         assert src.symbol_at(6 * block) == ref[-1]
+    # after any reads the source holds at most the one block it read last
     src = CoinFlipSource(5)
-    for b in range(3 * CoinFlipSource._FAR_BLOCKS):
+    assert _held_bytes(src) <= block
+    src.prefix_array(3 * block + 5)
+    assert _held_bytes(src) <= block
+    for b in (0, 40, 3, 2**20, 1, 5, 0):
         src.symbol_at(b * block + 1)
-    assert len(src._far) <= CoinFlipSource._FAR_BLOCKS
+        assert _held_bytes(src) <= block, b
+    src.prefix_array(2 * block)
+    assert _held_bytes(src) <= block
     assert np.array_equal(
         [src.symbol_at(b * block + 1) for b in range(6)], ref[::block])
 
 
-@pytest.mark.parametrize("kind", ["periodic", "champernowne", "coin", "file",
-                                  "adversarial"])
-def test_prefix_array_rejects_negative_length(kind, tmp_path):
+SOURCE_KINDS = ["periodic", "champernowne", "coin", "file", "adversarial"]
+
+
+def _source(kind, tmp_path):
     path = tmp_path / "bits.txt"
-    path.write_text("0110\n", encoding="ascii")
-    src = {
-        "periodic": lambda: PeriodicSource("01"),
+    path.write_text("0110100111\n", encoding="ascii")
+    return {
+        "periodic": lambda: PeriodicSource("011"),
         "champernowne": ChampernowneSource,
         "coin": lambda: CoinFlipSource(1),
         "file": lambda: FileSource(path),
         "adversarial": lambda: AdversarialSource(KTPredictor()),
     }[kind]()
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_prefix_array_rejects_negative_length(kind, tmp_path):
+    src = _source(kind, tmp_path)
     src.prefix_array(3)  # a cached prefix must not answer a negative length
     with pytest.raises(ValueError, match="prefix length"):
         src.prefix_array(-1)
     assert len(src.prefix_array(0)) == 0
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+def test_prefix_array_belongs_to_the_caller(kind, tmp_path):
+    # a caller may write to the array it got; no later read sees the change
+    src = _source(kind, tmp_path)
+    first = src.prefix_array(10)
+    ref = first.copy()
+    first ^= 1
+    assert np.array_equal(src.prefix_array(10), ref)
+    assert [src.symbol_at(t) for t in range(1, 11)] == ref.tolist()
+    assert np.array_equal(src.prefix_array(4), ref[:4])
 
 
 def test_coin_flip_regression_anchor():

@@ -185,6 +185,24 @@ def test_conditional_off_support_is_vacuous_and_predictor_uniform():
     assert pred.predict() == (0.5, 0.5)
 
 
+def test_long_off_support_past_after_two_rescales():
+    # 4,325 zeros on periodic:01 at J = 100: the tracked mass is rescaled
+    # twice, so the dropped mass in the state's units overflows a float and
+    # the conditional enclosures are read as vacuous
+    mux = MuX(PeriodicSource("01"), ChainSpec(100))
+    y = (0,) * 4325
+    pred = mux._walk(y)
+    state = pred._state
+    assert state.scale_log2 == -1796.0 and state.total > 0.0
+    with pytest.raises(OverflowError):
+        math.ldexp(state.dropped_mass, -int(state.scale_log2))
+    for iv in mux.conditional_next(y):
+        assert (iv.lower_prob, iv.upper_prob) == (0.0, 1.0)
+    assert pred.predict() == (0.75, 0.25)
+    assert pred.last_interval_width == 1.0
+    assert mux.marginal(y).upper_prob == pytest.approx(PI1 / 100, rel=1e-9)
+
+
 def test_tracking_conditionals_sharpen_on_target():
     src = PeriodicSource("01")
     mux = MuX(src, ChainSpec(2000))
@@ -260,7 +278,7 @@ def _queries(mux, y):
 def _unshared_queries(mux, y):
     states = [mux.initial_state()]
     for s in y:
-        states.append(mux.advance(states[-1], s))
+        states.append(mux.advance(states[-1], s, mux.propagate(states[-1])))
     return [repr((states[k].interval(), tuple(
         LogInterval(*mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a))
         for a in (0, 1)))) for k in QUERY_LENGTHS]
@@ -470,10 +488,10 @@ def test_emission_range_error_for_short_file(tmp_path):
 def test_forward_state_rescaling():
     mux = MuX(PeriodicSource("0"), ChainSpec(8))
     tiny = ForwardState(
-        t=1, states=np.arange(1, 9, dtype=np.int64), weights=np.full(8, 1e-290),
-        dropped_mass=0.0, scale_log2=0.0
+        t=1, born_states=np.arange(1, 9, dtype=np.int64),
+        born_weights=np.full(8, 1e-290), dropped_mass=0.0, total=8e-290, scale_log2=0.0
     )
-    advanced = mux.advance(tiny, 0)
+    advanced = mux.advance(tiny, 0, mux.propagate(tiny))
     assert advanced.scale_log2 < 0.0
     assert advanced.weights.max() > 1e-200  # rescaled into safe range
     # true mass: 8e-290 spread once through the transition kernel
@@ -482,9 +500,10 @@ def test_forward_state_rescaling():
 
 def test_weights_too_small_to_multiply_join_dropped_mass():
     mux = MuX(PeriodicSource("0"), ChainSpec(4))
-    state = ForwardState(t=1, states=np.arange(1, 4, dtype=np.int64),
-                         weights=np.array([0.5, 1e-290, 0.25]), dropped_mass=0.0)
-    advanced = mux.advance(state, 0)
+    state = ForwardState(t=1, born_states=np.arange(1, 4, dtype=np.int64),
+                         born_weights=np.array([0.5, 1e-290, 0.25]), dropped_mass=0.0,
+                         total=0.75)
+    advanced = mux.advance(state, 0, mux.propagate(state))
     # state 2's up-move, 1e-290 * 4/9, falls below the floor and is dropped
     assert list(advanced.states) == [1, 2, 4]
     assert advanced.dropped_mass >= 1e-290 * 4.0 / 9.0
@@ -638,7 +657,7 @@ def test_forward_state_blocks_match_dense_recursion(monkeypatch):
             state = mux.initial_state()
             for s, want in zip(y, dense_forward(src, 300, y)):
                 kind = type(state.origins)
-                state = mux.advance(state, s)
+                state = mux.advance(state, s, mux.propagate(state))
                 layouts.add((kind, type(state.origins)))
                 alive = np.flatnonzero(want)
                 assert np.array_equal(state.states, alive + 1)
@@ -666,7 +685,7 @@ def test_range_steps_that_do_not_split_use_the_class_tables(monkeypatch, pattern
     mux = MuX(src, ChainSpec(100_000))
     state = mux.initial_state()
     for s in src.prefix_array(100):
-        state = mux.advance(state, int(s))
+        state = mux.advance(state, int(s), mux.propagate(state))
     assert isinstance(state.origins, range) and state.origins.step == len(pattern)
     assert mux._cap > 100_000 + 64
     assert fallbacks == []
@@ -935,7 +954,7 @@ def test_forward_states_are_sparse_and_sorted():
                   tuple(int(b) for b in rng.integers(0, 2, size=150))):
             state = mux.initial_state()
             for s in y:
-                state = mux.advance(state, s)
+                state = mux.advance(state, s, mux.propagate(state))
                 assert state.states.dtype == np.int64
                 assert len(state.states) == len(state.weights)
                 assert (np.diff(state.states) > 0).all()
@@ -969,7 +988,7 @@ def test_tables_follow_the_largest_alive_state(spec):
     mux = MuX(src, ChainSpec(1000))
     state = mux.initial_state()
     for s in src.inner.prefix_array(300):
-        state = mux.advance(state, int(s))
+        state = mux.advance(state, int(s), mux.propagate(state))
     assert state.t == 300
     assert src.largest_prefix <= 1000 + 64
 
@@ -1038,7 +1057,8 @@ def test_fields_read_by_the_benchmark_trace():
     # the traced benchmark run (perfbench/tracing.py) reads these names
     mux = mux01(100)
     assert mux.chain.truncation_level == 100
-    state = mux.advance(mux.initial_state(), 0)
+    first = mux.initial_state()
+    state = mux.advance(first, 0, mux.propagate(first))
     assert state.t == 1
     assert np.count_nonzero(state.weights) == 50
     assert state.scale_log2 == 0.0
