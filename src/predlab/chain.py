@@ -17,10 +17,18 @@ form: from state j the chain makes at least k more up-moves with
 probability j^2/(j+k)^2, so an excursion from state 1 has P(length >= m) =
 1/m^2.  Run lengths are drawn by inversion and the stationary start by
 rejection (Devroye, Non-Uniform Random Variate Generation, 1986, II.2-3).
+
+A path is built _BLOCK = 2^13 states at a time, each block a slice of the
+returned array summed in place, and run lengths are drawn at most _BLOCK at
+a time.  So every temporary is at most 64 KiB, below glibc's default 128 KiB
+mmap threshold: it is reused from the heap, not handed back to the OS and
+faulted in afresh on the next call.  The generator's stream is read in the
+same order whatever the block size, so the path does not depend on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +36,9 @@ import numpy as np
 
 #: stationary weight of state 1, 6/pi^2
 PI1 = 6.0 / math.pi**2
+
+#: states per block of a sampled path, and terms per block of a partial sum
+_BLOCK = 2**13
 
 
 def transition_prob(j: int) -> float:
@@ -44,13 +55,19 @@ def first_return_prob(n: int) -> float:
     return (2 * n + 1) / (n * n * (n + 1) * (n + 1))
 
 
+def _fsum_blocks(N: int, term) -> float:
+    """math.fsum of term(n) for n = 1..N, formed _BLOCK terms at a time;
+    fsum is correctly rounded, so the grouping does not change the sum."""
+    return math.fsum(itertools.chain.from_iterable(
+        term(np.arange(b, min(b + _BLOCK, N + 1), dtype=np.float64)).tolist()
+        for b in range(1, N + 1, _BLOCK)))
+
+
 def return_prob_partial_sum(N: int) -> float:
     """Compensated partial sum of the first-return law up to N steps."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = (2.0 * n + 1.0) / (n * n * (n + 1.0) * (n + 1.0))
-    return math.fsum(terms.tolist())
+    return _fsum_blocks(N, lambda n: (2.0 * n + 1.0) / (n * n * (n + 1.0) * (n + 1.0)))
 
 
 def mean_return_time(N: int) -> tuple[float, float]:
@@ -62,9 +79,7 @@ def mean_return_time(N: int) -> tuple[float, float]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = (2.0 * n + 1.0) / (n * (n + 1.0) * (n + 1.0))
-    return math.fsum(terms.tolist()), 3.0 / N
+    return _fsum_blocks(N, lambda n: (2.0 * n + 1.0) / (n * (n + 1.0) * (n + 1.0))), 3.0 / N
 
 
 def stationary_weight(j: int) -> float:
@@ -120,27 +135,46 @@ def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
         j0 = sample_stationary_state(rng)
     elif start < 1:
         raise ValueError("fixed start state must be >= 1")
+    elif start > 2**63 - n:
+        raise ValueError(f"fixed start state must be <= 2**63 - n = {2**63 - n}, "
+                         "or the path's states overflow int64")
     else:
         j0 = start
     # first run j0, j0+1, ...: k more up-moves with P(>= k) = j0^2/(j0+k)^2
     k0 = math.floor(j0 * ((1.0 - rng.random()) ** -0.5 - 1.0))
     first = min(k0 + 1, n)
-    # the rest: runs 1, 2, ..., L from state 1 with P(L >= m) = 1/m^2,
-    # about pi1 of them per step
-    lengths, covered = [], first
-    while covered < n:
-        draws = rng.random(int(1.1 * PI1 * (n - covered)) + 64)
-        np.floor(np.power(np.subtract(1.0, draws, out=draws), -0.5, out=draws), out=draws)
-        lengths.append(draws.astype(np.int64))
-        covered += int(lengths[-1].sum())
-    # each step's state is its offset from the start of its run, plus one
-    starts = first + np.cumsum(np.concatenate([[0], *lengths]))
-    starts = starts[starts < n]
-    run_start = np.zeros(n, dtype=np.int64)
-    run_start[starts] = starts
-    np.maximum.accumulate(run_start, out=run_start)
-    states = np.arange(1, n + 1, dtype=np.int64) - run_start
-    states[:first] += j0 - 1
+    # a state is the one before it plus its step: 1, or at a run start 1 minus
+    # the last run's length (j0 + k0 after the first run, formed only inside
+    # the path, where it fits int64).  at[done:] holds the run starts not yet
+    # written, ascending, and step[done:] their steps; at[-1] >= n at the end.
+    at = np.array([first], dtype=np.int64)
+    step = np.array([1 - (j0 + k0) if first < n else 0], dtype=np.int64)
+    done = 0
+    states = np.empty(n, dtype=np.int64)
+    carry = j0 - 1  # the state before the block
+    for b0 in range(0, n, _BLOCK):
+        block = states[b0:b0 + _BLOCK]
+        b1 = b0 + len(block)
+        block.fill(1)
+        while True:
+            end = int(np.searchsorted(at, b1))
+            block[at[done:end] - b0] = step[done:end]
+            done = end
+            if end < len(at):
+                break
+            # the rest: runs 1, 2, ..., L from state 1 with P(L >= m) = 1/m^2,
+            # about pi1 of them per step
+            s = int(at[-1])  # start of the first run whose length is not drawn
+            draws = rng.random(min(_BLOCK, int(1.1 * PI1 * (n - s)) + 64))
+            np.floor(np.power(np.subtract(1.0, draws, out=draws), -0.5, out=draws), out=draws)
+            lengths = draws.astype(np.int64)
+            at = np.cumsum(lengths)
+            at += s
+            step = np.subtract(1, lengths, out=lengths)
+            done = 0
+        block[0] += carry
+        np.cumsum(block, out=block)
+        carry = int(block[-1])
     return StatePath(states=states)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from predlab import (
     stationary_weight,
     transition_prob,
 )
+from predlab import chain
 from predlab.chain import sample_stationary_state
 
 PI_SQ_OVER_6 = math.pi**2 / 6.0
@@ -69,6 +71,27 @@ def test_return_partial_sum_telescopes():
 
 def test_return_partial_sum_near_one_at_1e4():
     assert abs(return_prob_partial_sum(10**4) - 1.0) < 1e-7
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partial_sums_in_blocks_equal_the_whole_list_fsum():
+    N = 10**6
+    n = np.arange(1, N + 1, dtype=np.float64)
+    whole = math.fsum(((2.0 * n + 1.0) / (n * n * (n + 1.0) * (n + 1.0))).tolist())
+    mean = math.fsum(((2.0 * n + 1.0) / (n * (n + 1.0) * (n + 1.0))).tolist())
+    del n
+    value, peak = _traced_peak(return_prob_partial_sum, N)
+    assert value == whole and peak <= 4 * 2**20
+    (value, _), peak = _traced_peak(mean_return_time, N)
+    assert value == mean and peak <= 4 * 2**20
 
 
 def test_mean_return_time_single_term():
@@ -168,6 +191,32 @@ def test_sample_path_is_pinned(seed, start):
     assert states.dtype == np.int64
     digest = hashlib.sha256(states.tobytes()).hexdigest()
     assert digest == SAMPLE_PATH_SHA256[seed, start]
+
+
+def test_sample_path_refuses_starts_int64_cannot_hold():
+    for start in (2**63 - 9, 2**63, 2**64):
+        with pytest.raises(ValueError, match="2\\*\\*63 - n"):
+            sample_path(10, 1, start=start)
+    states = sample_path(10, 1, start=2**63 - 10).states
+    assert states[0] == 2**63 - 10 and (states >= 1).all()
+
+
+# seed 1074's stationary first run lasts 66,903 steps, longer than every n below
+@pytest.mark.parametrize("block, B", [(1, 1), (2, 2), (3, 3), (64, 64), (64, chain._BLOCK)])
+def test_sample_path_does_not_depend_on_the_block_size(monkeypatch, block, B):
+    cases = [(n, seed, start)
+             for n in sorted({1, B - 1, B, B + 1, 3 * B + 5} - {0})
+             for seed in (3, 1074)
+             for start in (None, 1, 7, 2**40)]
+    expect = [sample_path(*case).states for case in cases]
+    monkeypatch.setattr(chain, "_BLOCK", block)
+    for case, states in zip(cases, expect):
+        assert np.array_equal(sample_path(*case).states, states), case
+
+
+def test_sample_path_allocates_nothing_path_sized_but_the_path():
+    path, peak = _traced_peak(sample_path, 10**6, 7)
+    assert peak - path.states.nbytes <= 2**20
 
 
 @given(st.integers(min_value=0, max_value=50))
