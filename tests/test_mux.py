@@ -602,6 +602,83 @@ def test_periodic01_enclosures_contain_closed_form_marginals(trunc):
         assert_encloses(mux.marginal(y), value, value)
 
 
+def zeta_forward_sums(pattern, trunc, y):
+    """mp_forward_sums for the target periodic:<pattern>, in O(t) per step.
+
+    Origins of one residue class mod the period P stay alive or die
+    together.  A never-reset class run of n origins, in states a, a + P,
+    ..., a + (n-1)P, sums pi1 (zeta(2, a/P) - zeta(2, b/P)) / P^2 with
+    b = a + nP (Hurwitz zeta), and its reset share pi_m (1 - p_m) =
+    pi1 (m^-2 - (m+1)^-2) telescopes within each term; the states born by
+    a reset keep explicit weights."""
+    P = len(pattern)
+    emits = lambda m: int(pattern[(m - 1) % P])  # noqa: E731 - state m's symbol
+    out = []
+    with mpmath.workdps(50):
+        pi1, zetas = 6 / mpmath.pi**2, {}
+
+        def run(a, n):  # sum over k < n of (a + kP)^-2
+            for v in (a, a + n * P):
+                if v not in zetas:
+                    zetas[v] = mpmath.zeta(2, mpmath.mpf(v) / P)
+            return (zetas[a] - zetas[a + n * P]) / P**2
+
+        # first origin r -> its count n; at step t its origins are in
+        # states r + t, r + t + P, ...
+        classes = {r: (trunc - r) // P + 1 for r in range(1, min(P, trunc) + 1)}
+        born = {}
+        for t, sym in enumerate(y):
+            if t:
+                inflow = mpmath.fsum(w * (2 * m + 1) / mpmath.mpf((m + 1) ** 2)
+                                     for m, w in born.items())
+                inflow += pi1 * mpmath.fsum(run(r + t - 1, n) - run(r + t, n)
+                                            for r, n in classes.items())
+                born = {m + 1: w * m * m / mpmath.mpf((m + 1) ** 2) for m, w in born.items()}
+                born[1] = inflow
+            sums = [mpmath.mpf(0), mpmath.mpf(0)]
+            for m, w in born.items():
+                sums[emits(m)] += w
+            for r, n in classes.items():
+                sums[emits(r + t)] += pi1 * run(r + t, n)
+            out.append(tuple(sums))
+            born = {m: w for m, w in born.items() if emits(m) == sym}
+            classes = {r: n for r, n in classes.items() if emits(r + t) == sym}
+    return out
+
+
+@pytest.mark.parametrize("pattern", ["0", "01", "011"])
+def test_zeta_oracle_agrees_with_the_direct_recursion(pattern):
+    src = PeriodicSource(pattern)
+    for y in (src.prefix_array(70).tolist(), src.prefix_array(71).tolist()[1:]):
+        for got, want in zip(zeta_forward_sums(pattern, 64, y), mp_forward_sums(src, 64, y)):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= mpmath.mpf(10) ** -40 * max(w, 1)
+
+
+@pytest.mark.parametrize("pattern", ["0", "01", "011"])
+def test_enclosures_contain_the_zeta_oracle_at_a_million_states(pattern):
+    # J = 1e6 keeps a range block of about J / P origins; the 80 steps cross
+    # the capacity growth at t = 65.  The target's own prefix keeps every
+    # class alive; the prefix from x_2 on starts periodic:011 with two
+    # classes, an index array, before its next symbol leaves one
+    trunc, steps = 10**6, 80
+    src = PeriodicSource(pattern)
+    with mpmath.workdps(50):
+        tail = 6 / mpmath.pi**2 * mpmath.zeta(2, trunc + 1)
+    for y in (src.prefix_array(steps).tolist(), src.prefix_array(steps + 1).tolist()[1:]):
+        mux = MuX(src, ChainSpec(trunc))
+        pred = mux.predictor()
+        for t, ((s0, s1), sym) in enumerate(zip(zeta_forward_sums(pattern, trunc, y), y)):
+            state, step = pred._state, pred._propagated()
+            for a, s_a in enumerate((s0, s1)):
+                ratio = s_a / (s0 + s1)
+                assert_encloses(LogInterval(*mux._conditional_ends(state, step, a)), ratio, ratio)
+            pred.observe(sym)
+            tracked = (s0, s1)[sym]
+            assert_encloses(pred._state.interval(), tracked, tracked + tail)
+        assert mux._cap > trunc + 64
+
+
 def dense_forward(source, trunc, y):
     """The plain float64 forward recursion over every state 1..trunc+len(y),
     dead states included: the weights after each symbol of y."""
