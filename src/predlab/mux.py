@@ -12,25 +12,23 @@ blocks.  Along a path that never resets the weights telescope,
 pi1/j^2 * prod_{i=j}^{m-1} i^2/(i+1)^2 = pi1/m^2, so the *never-reset block*
 stores only its origins, the initial states that still match.  While they
 are evenly spaced with stride s they are a range, whose states at one step
-are one run of one residue class mod s, and the same three class tables
-for every stride (stride 1 too) give its sums as differences T_lo - T_hi
-of two entries, in O(1), each used only when T_hi <= T_lo - T_hi
-(``MuX._class_tables``).  Otherwise (a split, a failed check, an index
-array) its sums are formed on the fly in chunks of _CHUNK states, in
-O(block).  The *reset-born block*, the states below t, keeps explicit
-weights.  A never-reset block joins it as a range of fewer than _MIN_BLOCK
-origins or an index array of at most _CHUNK; a longer index array stays a
-block, as its int64 origins and chunked temporaries take less memory than
-explicit weights.  Both blocks split their sums by emission as dots
-against the 0/1 emission mask.
+are one run of one residue class mod s: its sums come in closed form, in
+O(1) (``_class_sums``), and an int32 count per class tells whether the run
+splits by emission (``MuX._class_counts``).  Otherwise (a split or an index
+array) they are formed on the fly in chunks of _CHUNK states, in O(block).
+The *reset-born block*, the states below t, keeps explicit weights.  A
+never-reset block joins it as a range of fewer than _MIN_BLOCK origins or
+an index array of at most _CHUNK; a longer index array stays a block, as its
+int64 origins and chunked temporaries take less memory than explicit
+weights.  Both blocks split their sums by emission as dots against the 0/1
+emission mask.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
 roundings behind it and a sum of n terms in any order adds n - 1 (Higham,
-Accuracy and Stability of Numerical Algorithms, chs. 3-4); a checked
-difference of two class-table entries over n terms of r roundings each adds
-2 (n + r) + 1 (``MuX._range_sums``).  So the tracked total T is within a
-factor 1 +- gamma_k = k u / (1 - k u) of exact:
+Accuracy and Stability of Numerical Algorithms, chs. 3-4); a range's closed
+form carries _RANGE_ROUNDINGS, whatever its length.  So the tracked total T
+is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
     T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
@@ -62,7 +60,6 @@ from .core import (
     Word,
     log2_sum,
     prob,
-    sum_left,
     validate_symbol,
 )
 
@@ -85,12 +82,15 @@ _NO_ORIGINS = range(0)
 _ZERO = np.zeros(1, dtype=np.int64)
 #: a range of fewer origins joins the reset-born block: its numpy calls cost more
 _MIN_BLOCK = 64
-#: weights formed on the fly (sums without class tables, table builds) are
-#: formed this many states at a time; an index array of at most this many
-#: origins joins the reset-born block, a longer one keeps its int64 form
+#: weights formed on the fly (a block's sums origin by origin) are formed
+#: this many states at a time; an index array of at most this many origins
+#: joins the reset-born block, a longer one keeps its int64 form
 _CHUNK = 1 << 15
-#: roundings behind a class table's term: pi_c (6), 1 - p_c (3), their product
-_CLASS_ROUNDINGS = _INIT_ROUNDINGS + _TABLE_ROUNDINGS + 1
+#: c_15, c_14, ..., c_1 of _em_bracket: B_14, 0, B_12, 0, ..., B_2, 1/2, 0
+_EM = (7 / 6, 0.0, -691 / 2730, 0.0, 5 / 66, 0.0, -1 / 30, 0.0, 1 / 42, 0.0,
+       -1 / 30, 0.0, 1 / 6, 0.5, 0.0)
+#: roundings of a range's sums: _class_sums' 13 + 16, then pi1 times a sum
+_RANGE_ROUNDINGS = 13 + 16 + _INIT_ROUNDINGS
 
 
 def _stationary(j: np.ndarray) -> np.ndarray:
@@ -98,26 +98,36 @@ def _stationary(j: np.ndarray) -> np.ndarray:
     return PI1 / (j * j)
 
 
-def _reset_share(c: np.ndarray) -> np.ndarray:
-    """pi_c (1 - p_c) = pi1/c^2 * (2c+1)/(c+1)^2 for float states c >= 1."""
-    return _stationary(c) * ((2.0 * c + 1.0) / ((c + 1.0) * (c + 1.0)))
+def _em_bracket(v: float, w: float) -> float:
+    """K(v, w) = sum_m c_m (v^m - w^m)/(v - w) for 0 <= w <= v <= 1/16, by
+    Horner in v over Horner in w, which forms no difference of powers: within
+    5.6 u K, and K <= 0.0645 (README, Numerics)."""
+    beta = kappa = 0.0
+    for p in _EM:
+        beta = p + w * beta
+        kappa = beta + v * kappa
+    return kappa
 
 
-def _chunks(o, shift: int):
-    """(i, origins i .. i + _CHUNK - 1 of ``o`` plus ``shift``, as floats)
-    for each chunk of ``o``, a range or an array."""
-    for i in range(0, len(o), _CHUNK):
-        part = o[i:i + _CHUNK]
-        if isinstance(part, range):
-            part = np.arange(part.start, part.stop, part.step)
-        yield i, part + float(shift)
-
-
-def _difference(hi_sum: float, tail: float) -> float | None:
-    """hi_sum - tail, or None unless tail <= hi_sum - tail: then hi_sum +
-    tail <= 3 (hi_sum - tail), which keeps the difference's error relative."""
-    d = hi_sum - tail
-    return d if tail <= d else None
+def _class_sums(c: int, s: int, n: int) -> tuple[float, float]:
+    """(sum (c+ks+1)^-2, sum (c+ks)^-2 - (c+ks+1)^-2) over k < n, states c >= 1:
+    a range's next-state weights and reset shares over pi1.  Term by term below
+    16 s, then Euler-Maclaurin to B_14 (DLMF 2.10.1), whose remainder there is
+    within 2 |B_16| 17 16^-16 <= 0.12 u and |B_16| 17 18 16^-16 <= 1.06 u."""
+    ahead = reset = 0.0
+    while n and c < 16 * s:  # at most 16 terms, each ratio of integers rounded once
+        d = (c + 1) * (c + 1)
+        ahead, reset = ahead + 1 / d, reset + (2 * c + 1) / (c * c * d)
+        c, n = c + s, n - 1
+    if n:
+        a, b = c + 1, c + n * s + 1  # the first next state, one stride past the last
+        # the integral times 1 + the end terms, I c_m H_m(s/a, s/b): 3.5 u
+        ahead += n / (a * b) * (1.0 + _em_bracket(s / a, s / b))
+        # the integral plus end terms E(x) <= 0.52 (x^-2 - (x+1)^-2), each within 7.6 u: 13 u
+        ca, eb = c * a, (b - 1) * b
+        reset += (n * (c + b) / (ca * eb) + _em_bracket(s / c, s / a) / (s * ca)
+                  - _em_bracket(s / (b - 1), s / b) / (s * eb))
+    return ahead, reset
 
 
 def log_loss_bound(n):
@@ -260,8 +270,8 @@ class MuX:
         self._cap = 0
         # _ones[i]: does state i+1 emit 1
         self._ones = np.empty(0, dtype=bool)
-        # stride -> its class tables at the current capacity (_class_tables)
-        self._classes: dict[int, tuple] = {}
+        # stride -> its class counts at the current capacity (_class_counts)
+        self._classes: dict[int, np.ndarray] = {}
         # (y, step) -> _shared(y, step): the first steps every past shares
         self._first: dict[tuple, ForwardState | Transition] = {}
 
@@ -270,7 +280,7 @@ class MuX:
     def _ensure_tables(self, size: int) -> None:
         """The emission table for states 1..size; the source must serve
         indices up to size or this raises its exhaustion error.  Growing it
-        drops the class tables, which are rebuilt on their next use.  It
+        drops the class counts, which are rebuilt on their next use.  It
         grows by at least an eighth, so those O(capacity) rebuilds cost O(1)
         per state amortised, and the source serves at most about an eighth
         more symbols than the frontier reads."""
@@ -288,27 +298,18 @@ class MuX:
         self._classes = {}
         self._cap = new_cap
 
-    def _class_tables(self, s: int) -> tuple:
-        """The stride-s class tables, built on first use at this capacity.
+    def _class_counts(self, s: int) -> np.ndarray:
+        """The stride-s class counts, built on first use at this capacity.
 
         State index c = q s + r (state c + 1 emits _ones[c]) is row q of
-        column r: a stride-s range reads rows q .. q + n - 1 of one column.
-        ``up[q, r]`` and ``share[q, r]`` sum pi[c + 1] and pi[c] (1 - p_c)
-        from row q to the tail; ``counts[q, r]`` counts the ones above row q."""
-        tables = self._classes.get(s)
-        if tables is None:
-            cap, shape = self._cap, (-(-self._cap // s) + 1, s)
-            up, share = np.zeros(shape), np.zeros(shape)
-            for i, c in _chunks(range(cap), 0):
-                up.reshape(-1)[i:i + len(c)] = _stationary(c + 1.0)
-                # c = 0 is never read: t >= 1 there
-                share.reshape(-1)[i:i + len(c)] = _reset_share(np.maximum(c, 1.0))
-            for table in (up, share):  # in place, zero last row first
-                np.cumsum(table[::-1], axis=0, out=table[::-1])
-            counts = np.zeros(shape, dtype=np.int32)
-            counts.reshape(-1)[s:s + cap] = self._ones  # one row down
-            tables = self._classes[s] = (up, share, np.cumsum(counts, axis=0, out=counts))
-        return tables
+        column r: a stride-s range reads rows q .. q + n - 1 of one column,
+        and ``counts[q, r]`` counts the ones above row q."""
+        counts = self._classes.get(s)
+        if counts is None:
+            counts = np.zeros((-(-self._cap // s) + 1, s), dtype=np.int32)
+            counts.reshape(-1)[s:s + self._cap] = self._ones  # one row down
+            counts = self._classes[s] = np.cumsum(counts, axis=0, out=counts)
+        return counts
 
     # -- forward recursion --------------------------------------------------
 
@@ -316,12 +317,12 @@ class MuX:
         """Stationary weights over initial states 1..J, tail mass dropped."""
         J = self.chain.truncation_level
         self._ensure_tables(J)
-        origins = range(1, J + 1)
-        # J - 1 roundings, counted by _rel_err
-        total = sum_left([float(_stationary(c).sum()) for _, c in _chunks(origins, 0)])
+        # pi1 (1 + the sum over states 2..J): up to J = 16 a plain sum, above
+        # it 20 + 1 + 6 roundings; _rel_err counts 6 + J + 8 either way
+        total = PI1 * (1.0 + _class_sums(1, 1, J - 1)[0])
         empty = np.empty(0, dtype=np.int64)
         return ForwardState(0, empty, np.empty(0), self.chain.tail_mass_bound,
-                            roundings=_INIT_ROUNDINGS, total=total, origins=origins)
+                            roundings=_INIT_ROUNDINGS, total=total, origins=range(1, J + 1))
 
     def _shared(self, y: tuple, step: bool = False):
         """The state after y, a word of at most one symbol, or with ``step``
@@ -385,21 +386,17 @@ class MuX:
     # origin_ones, common, roundings).
 
     def _range_sums(self, o: range, t: int) -> tuple | None:
-        """The block's sums from the class tables in O(1), or None if the
-        range splits or a difference fails its check."""
+        """The block's sums in closed form, or None if the range splits."""
         s, n = o.step, len(o)
         q, r = divmod(o.start + t - 1, s)
-        up, share, counts = self._class_tables(s)
+        counts = self._class_counts(s)
         k = counts.item(q + n, r) - counts.item(q, r)  # a split reads every origin anyway
-        b = _difference(up.item(q, r), up.item(q + n, r))
-        inflow = _difference(share.item(q, r), share.item(q + n, r))
-        if 0 < k < n or b is None or inflow is None:
+        if 0 < k < n:
             return None
-        # the tail-first cumsum forms T_lo from T_hi by n additions, each
-        # within u T_lo <= 2u D as T_hi <= D, so T_hi's own error cancels;
-        # the n terms carry _CLASS_ROUNDINGS each, the subtraction one more
-        return (inflow, 0.0 if k else b, b if k else 0.0, None, int(k > 0),
-                2 * (n + _CLASS_ROUNDINGS) + 1)
+        b, reset = _class_sums(o.start + t - 1, s, n)
+        b *= PI1
+        return (PI1 * reset, 0.0 if k else b, b if k else 0.0, None, int(k > 0),
+                _RANGE_ROUNDINGS)
 
     def _direct_sums(self, o, t: int) -> tuple:
         """The block's sums over every origin, in O(len(o)), with weights
@@ -408,9 +405,12 @@ class MuX:
                            if isinstance(o, range) else o + (t - 1)]
         k = np.count_nonzero(emits)
         inflow = b0 = b1 = 0.0
-        for i, c in _chunks(o, t - 1):
-            if t:
-                inflow += float(_reset_share(c).sum())
+        for i in range(0, len(o), _CHUNK):
+            c = o[i:i + _CHUNK]
+            c = (np.arange(c.start, c.stop, c.step) if isinstance(c, range) else c) + float(t - 1)
+            if t:  # pi_c (1 - p_c) = pi1/c^2 * (2c+1)/(c+1)^2
+                leave = (2.0 * c + 1.0) / ((c + 1.0) * (c + 1.0))
+                inflow += float((_stationary(c) * leave).sum())
             block, e = _stationary(c + 1.0), emits[i:i + _CHUNK]
             b1 += float(block.dot(e)) if k else 0.0
             b0 += float(block.dot(~e)) if k < len(o) else 0.0

@@ -746,9 +746,10 @@ def test_forward_state_blocks_match_dense_recursion(monkeypatch):
 
 
 @pytest.mark.parametrize("pattern", ["0", "01"])
-def test_range_steps_that_do_not_split_use_the_class_tables(monkeypatch, pattern):
+def test_range_steps_that_do_not_split_take_the_closed_form(monkeypatch, pattern):
     # periodic:0 keeps a stride-1 range and periodic:01 a stride-2 one; the
-    # 100 steps cross the capacity growth at J + 64, which rebuilds them
+    # 100 steps cross the capacity growth at J + 64, which rebuilds the
+    # class counts
     direct, fallbacks = MuX._direct_sums, []
 
     def counted(self, o, t):
@@ -784,23 +785,18 @@ def _gamma(k):
     return k * 2.0**-53 / (1.0 - k * 2.0**-53)
 
 
-def test_short_range_below_the_capacity_falls_back(monkeypatch):
-    # 100 origins 2000, 2002, ..., 2198 at t = 3 read states 2002..2200, but
-    # their class's tail from state 2202 up to the capacity J + 64 outweighs
-    # them, so a difference of two suffix sums is not trusted there
+def test_short_range_below_the_capacity_takes_the_closed_form(monkeypatch):
+    # 100 origins 2000, 2002, ..., 2198 at t = 3 read states 2002..2200, far
+    # below the capacity J + 64, whose class sums above them outweigh them
     mux, o, t = mux01(10_000), range(2000, 2200, 2), 3
     mux.initial_state()
-    q, r = divmod(o.start + t - 1, 2)
-    up, share, _ = mux._class_tables(2)
-    assert up[q + len(o), r] > up[q, r] - up[q + len(o), r]
-    assert share[q + len(o), r] > share[q, r] - share[q + len(o), r]
     direct, calls = MuX._direct_sums, []
     monkeypatch.setattr(MuX, "_direct_sums",
                         lambda self, o, t: calls.append(o) or direct(self, o, t))
     empty = np.empty(0, dtype=np.int64)
     step = mux.propagate(ForwardState(t, empty, np.empty(0), 0.0, roundings=6,
                                       total=1.0, origins=o))
-    assert calls == [o]
+    assert calls == []
     # the next states c + 1 are odd and emit 0, and so does the new state 1
     c = [j + t - 1 for j in o]
     want = math.fsum([PI1 / ((k + 1) * (k + 1)) for k in c]
@@ -833,64 +829,91 @@ class _FiniteSource(SequenceSource):
     lambda: MuX(_FiniteSource(CoinFlipSource(3), 213), ChainSpec(203))],
     ids=["infinite", "finite"])
 def test_class_tables_match_fsum(stride, make):
+    # the class counts against the emissions, and the closed-form sums of
+    # runs of each class (from state index 1 on) against fsum of their terms
     mux = make()
     mux.initial_state()
     cap = mux._cap
     assert cap % stride or stride == 1
     x = mux.source.prefix_array(cap)
-    up, share, counts = mux._class_tables(stride)
-    rows = len(up) - 1
+    counts = mux._class_counts(stride)
+    rows = len(counts) - 1
     for r in range(stride):
         cs = list(range(r, cap, stride))  # state indices c of class r
-        terms = [PI1 / ((c + 1) * (c + 1)) for c in cs]
-        shares = [PI1 / (c * c) * ((2 * c + 1) / ((c + 1) * (c + 1))) if c else 0.0
-                  for c in cs]
         for q in range(rows + 1):
             assert counts[q, r] == int(x[cs[:q]].sum())
-            want = math.fsum(terms[q:])
-            assert abs(up[q, r] - want) <= _gamma(rows) * want
-            tables = [(up, terms)]
-            if (q, r) != (0, 0):  # c = 0 is never read
-                want = math.fsum(shares[q:])
-                assert abs(share[q, r] - want) <= _gamma(rows) * want
-                tables.append((share, shares))
-            # a difference over n terms that passes its check is within the
-            # counted gamma
-            for n in range(1, rows - q + 1):
-                count = 2 * (n + mux_module._CLASS_ROUNDINGS) + 1
-                for table, vals in tables:
-                    d = table[q, r] - table[q + n, r]
-                    if table[q + n, r] <= d:
-                        want = math.fsum(vals[q:q + n])
-                        assert abs(d - want) <= _gamma(count) * want
+        for q in range(1 if r == 0 else 0, len(cs)):
+            for n in {1, 2, 17, len(cs) - q}:
+                run = cs[q:q + n]
+                ahead, reset = mux_module._class_sums(run[0], stride, len(run))
+                # each fsum term is rounded once, and the fsum once more
+                want = math.fsum([1 / ((c + 1) * (c + 1)) for c in run])
+                assert abs(ahead - want) <= _gamma(20 + 2) * want
+                want = math.fsum([(2 * c + 1) / (c * c * (c + 1) * (c + 1)) for c in run])
+                assert abs(reset - want) <= _gamma(29 + 2) * want
+
+
+@pytest.mark.parametrize("stride", range(1, 8))
+def test_class_sums_are_within_their_stated_bounds(stride):
+    # states c, c + s, ..., c + (n-1)s against 40-digit Hurwitz zeta
+    # differences: from c >= 16 s on only the Euler-Maclaurin tail (4 and 13
+    # roundings), below it up to 16 head terms and their additions as well
+    s = stride
+
+    def run(a, n):  # sum over k < n of (a + ks)^-2
+        return (mpmath.zeta(2, mpmath.mpf(a) / s)
+                - mpmath.zeta(2, mpmath.mpf(a + n * s) / s)) / s**2
+
+    starts = [1, 16 * s - 1, 16 * s, 16 * s + 1, 10**6 + 65 - 100 * s, 10**6 + 65]
+    with mpmath.workdps(40):
+        for c in starts:
+            for n in (1, 2, 1000, 10**6 // s):
+                up, share = mux_module._class_sums(c, s, n)
+                want_up, want_share = run(c + 1, n), run(c, n) - run(c + 1, n)
+                head = c < 16 * s
+                assert abs(up - want_up) <= _gamma(20 if head else 4) * want_up
+                assert abs(share - want_share) <= _gamma(29 if head else 13) * want_share
+
+
+def test_em_bracket_is_within_its_stated_bound():
+    # K(v, w) = sum_m c_m (v^m - w^m)/(v - w) with c_2 = 1/2 and
+    # c_(2j+1) = B_2j up to B_14, within 5.6 u K for 0 <= w < v <= 1/16
+    coeffs = [(2, mpmath.mpf(1) / 2)] + [(2 * j + 1, mpmath.bernoulli(2 * j)) for j in range(1, 8)]
+    with mpmath.workdps(40):
+        for v, w in ((1 / 16, 1 / 17), (1 / 16, 16 / 257), (1 / 16, 1e-6), (2 / 33, 2 / 34),
+                     (1e-3, 0.999e-3), (7e-6, 1e-12)):
+            got = mux_module._em_bracket(v, w)
+            V, W = mpmath.mpf(v), mpmath.mpf(w)
+            want = sum(c * (V**m - W**m) / (V - W) for m, c in coeffs)
+            assert abs(got - want) <= 5.6 * 2.0**-53 * want
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_range_step_counts_the_roundings_of_its_run(stride):
-    # a checked difference over n terms adds 2 (n + _CLASS_ROUNDINGS) + 1
-    # roundings, whatever the table's row count
+    # a closed-form step adds _RANGE_ROUNDINGS, whatever the run's length
     mux = MuX(PeriodicSource("0" * stride), ChainSpec(10_000))
     mux.initial_state()
-    for o, t in ((range(1, 10_001, stride), 1), (range(1, 5001, stride), 7)):
+    for o, t in ((range(1, 10_001, stride), 1), (range(1, 5001, stride), 7),
+                 (range(1, 129, stride), 3)):
         sums = mux._range_sums(o, t)
         assert sums is not None
-        assert sums[-1] == 2 * (len(o) + mux_module._CLASS_ROUNDINGS) + 1
+        assert sums[-1] == mux_module._RANGE_ROUNDINGS == 35
 
 
 def _reference_roundings(x, J, y, range_used):
     """The rounding count after each symbol of y, by the rules of README's
     Numerics section, from the blocks a walk passes through; x[m - 1] is
-    state m's emission.  range_used[t] tells whether the class tables gave
-    the never-reset block's sums at time t, which is a question of the
-    numbers, not of the count.
+    state m's emission.  range_used[t] tells whether the closed form gave
+    the never-reset block's sums at time t (it does unless the range
+    splits).
 
     A stationary weight carries 6 roundings and a transition probability 3;
     the born dot product's n terms add n (a product and a sum each); a
-    block summed origin by origin adds one rounding per origin, and a
-    checked class-table difference over n terms of 6 + 3 + 1 roundings adds
-    2 (n + 10) + 1.  The first step only reads the initial weights.  A block
-    joins the reset-born one below 64 origins, or at up to 32Ki origins that
-    are not evenly spaced (an index array)."""
+    block summed origin by origin adds one rounding per origin, and a range
+    block's closed form adds 13 + 16 + 6 = 35, whatever its length.  The
+    first step only reads the initial weights.  A block joins the
+    reset-born one below 64 origins, or at up to 32Ki origins that are not
+    evenly spaced (an index array)."""
 
     def joins(origins):
         spaced = len(origins) < 3 or len(set(np.diff(origins).tolist())) == 1
@@ -903,7 +926,7 @@ def _reference_roundings(x, J, y, range_used):
                 if not origins:
                     block = 0
                 elif range_used.get(t):
-                    block = 2 * (len(origins) + 10) + 1
+                    block = 35
                 else:
                     block = len(origins)
                 count += 3 + len(born) + block
@@ -1004,10 +1027,11 @@ def test_index_arrays_of_up_to_one_chunk_join_without_changing_the_conditionals(
         for (p, r, alive, kind), (q, want_r, want_alive, want_kind) in zip(got, want):
             assert p == pytest.approx(q, rel=1e-12, abs=0)
             assert alive == want_alive
-            # a split can turn the unjoined index array into a range, whose
-            # class-table sums add 2 (n + 10) + 1 roundings instead of n
+            # a split can turn the unjoined index array into a range of at
+            # least 64 origins, whose closed form adds 35 roundings a step
+            # where the joined origins add one each
             diverged |= want_kind is range and kind is None
-            assert r <= want_r if diverged else r == want_r
+            assert r >= want_r if diverged else r == want_r
             arrays += want_kind is np.ndarray and kind is None
     if spec in ("coin:5", "champernowne", "periodic:011"):  # the joined index arrays
         assert arrays > 0
