@@ -612,7 +612,7 @@ def zeta_forward_sums(pattern, trunc, y):
     pi1 (m^-2 - (m+1)^-2) telescopes within each term; the states born by
     a reset keep explicit weights."""
     P = len(pattern)
-    emits = lambda m: int(pattern[(m - 1) % P])  # noqa: E731 - state m's symbol
+    emits = lambda m: int(pattern[(m - 1) % P])  # state m's symbol
     out = []
     with mpmath.workdps(50):
         pi1, zetas = 6 / mpmath.pi**2, {}
