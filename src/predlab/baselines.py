@@ -14,6 +14,9 @@ import math
 from .core import Predictor, Symbol, sum_left, validate_symbol
 
 MAX_MIXTURE_ORDER = 16
+#: a mixture weight below 2^_LOG2_FLOOR rebuilds the weights from log2 terms
+_LOG2_FLOOR = -960.0
+_FLOOR = 2.0**_LOG2_FLOOR
 
 
 class UniformPredictor(Predictor):
@@ -63,13 +66,16 @@ class FiniteOrderMixture(Predictor):
     exceeds a component's cumulative loss plus -log2 w_k.
 
     ``observe`` walks the orders once per step: it updates each order's
-    joint, count, context and conditional in its new context, and its log2
-    term, then forms the pair that ``predict`` returns.
-
-    The posterior is computed in Python floats over the K + 1 log2 terms
-    (shifted by their max, raised to powers of 2, normalised), so a
-    conditional may differ from a numpy evaluation in the last bit; the
-    adversarial sequences built against it are pinned in the tests.
+    joint, count, context and conditional in its new context, and its
+    posterior weight g_k, multiplied by the order's conditional of the symbol
+    and divided by the mixture's; then P(next=1) = sum g_k p_k / sum g_k,
+    summed left to right.  A weight below 2^-960 rebuilds them all from the
+    exact log2 terms x_k = log2 w_k + log2 mu_k(past), as
+    g_k = 2^max(x_k - max x, -960), so an order far behind can come back.
+    Dividing by the weights' own sum once, not normalising each, keeps the
+    exact ties the tests check.  A conditional may differ from a numpy
+    evaluation in the last bit; the adversarial sequences built against it
+    are pinned in the tests.
     """
 
     def __init__(self, max_order: int) -> None:
@@ -89,38 +95,36 @@ class FiniteOrderMixture(Predictor):
         # counts[k][2 c + s]: how often s followed the order-k context coded c
         self._counts = [[0] * (4 << k) for k in range(max_order + 1)]
         self._offsets = [2] * (max_order + 1)  # 2 c, for each order's context c
-        # each order's P(next=1) in its current context, and its log2 term
-        # log2 w_k + log2 mu_k(past), formed in observe
-        self._p1 = [0.5] * (max_order + 1)
-        self._terms = list(self.log2_weights)  # every joint is log2 1 = 0
-        self._next = self._posterior()
+        self._p1 = [0.5] * (max_order + 1)  # each order's P(next=1) in its context
+        self._g = self._rebuilt()  # the posterior weights, up to a common factor
+        self._next = (0.5, 0.5)
 
     def fresh(self) -> "FiniteOrderMixture":
         return FiniteOrderMixture(self.max_order)
 
-    def _posterior(self) -> tuple[float, float]:
-        """Posterior-weighted (P(next=0), P(next=1)); loops sum left to right."""
-        m, g, total, p1 = max(self._terms), [], 0.0, 0.0
-        for x in self._terms:
-            gk = 2.0 ** (x - m)
-            g.append(gk)
-            total += gk
-        for gk, pk in zip(g, self._p1):
-            p1 += gk / total * pk
-        p1 = 0.0 if p1 < 0.0 else 1.0 if p1 > 1.0 else p1  # min(max(p1, 0), 1)
-        return (1.0 - p1, p1)
+    def _terms(self) -> tuple[list[float], float]:
+        """log2 w_k + log2 mu_k(past) for each order k, and their max."""
+        a = [lw + joint for lw, joint in zip(self.log2_weights, self.log2_joints)]
+        return a, max(a)
+
+    def _rebuilt(self) -> list[float]:
+        """The posterior weights from the exact log2 terms, floored at 2^-960."""
+        a, m = self._terms()
+        return [2.0 ** max(x - m, _LOG2_FLOOR) for x in a]
 
     def predict(self) -> tuple[float, float]:
         return self._next
 
     def observe(self, symbol: Symbol) -> None:
         validate_symbol(symbol)
-        joints, offsets, p1s, terms = self.log2_joints, self._offsets, self._p1, self._terms
-        lws = self.log2_weights
+        joints, offsets, p1s, g = self.log2_joints, self._offsets, self._p1, self._g
+        mixed = self._next[symbol]  # the mixture's conditional of the symbol
+        num = total = 0.0
         for k, counts in enumerate(self._counts):
             p1 = p1s[k]
-            joint = joints[k] = joints[k] + math.log2(p1 if symbol else 1.0 - p1)
-            terms[k] = lws[k] + joint
+            q = p1 if symbol else 1.0 - p1
+            joints[k] += math.log2(q)
+            gk = g[k] = g[k] * q / mixed
             b = offsets[k]
             counts[b + symbol] += 1
             b = (b + symbol) << 1
@@ -128,11 +132,16 @@ class FiniteOrderMixture(Predictor):
                 b = (b - (4 << k)) | 2 << k
             offsets[k] = b
             n1 = counts[b + 1]
-            p1s[k] = (n1 + 0.5) / (counts[b] + n1 + 1)
-        self._next = self._posterior()
+            p1 = p1s[k] = (n1 + 0.5) / (counts[b] + n1 + 1)
+            num += gk * p1
+            total += gk
+        if min(g) < _FLOOR:
+            self._g = g = self._rebuilt()
+            num, total = sum_left([gk * pk for gk, pk in zip(g, p1s)]), sum_left(g)
+        p1 = num / total
+        self._next = (1.0 - p1, p1)
 
     def log2_joint(self) -> float:
         """log2 of the mixture probability of the observed past."""
-        a = self._terms
-        m = max(a)
+        a, m = self._terms()
         return m + math.log2(sum_left([2.0 ** (x - m) for x in a]))

@@ -16,12 +16,13 @@ are one run of one residue class mod s: its sums come in closed form, in
 O(1) (``_class_sums``), and an int32 count per class tells whether the run
 splits by emission (``MuX._class_counts``).  Otherwise (a split or an index
 array) they are formed on the fly in chunks of _CHUNK states, in O(block).
-The *reset-born block*, the states below t, keeps explicit weights.  A
-never-reset block joins it as a range of fewer than _MIN_BLOCK origins or
-an index array of at most _CHUNK; a longer index array stays a block, as its
-int64 origins and chunked temporaries take less memory than explicit
-weights.  Both blocks split their sums by emission as dots against the 0/1
-emission mask.
+The *reset-born block*, the states below t, keeps explicit weights: up to
+_SMALL_BLOCK states as tuples, stepped term by term in Python floats, and as
+int64 and float64 arrays above.  A never-reset block joins it as a range of
+fewer than _MIN_BLOCK origins or an index array of at most _CHUNK; a longer
+index array stays a block, as its int64 origins and chunked temporaries take
+less memory than explicit weights.  Both blocks split their sums by emission,
+as dots against the 0/1 emission mask or term by term.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +84,8 @@ _NO_ORIGINS = range(0)
 _ZERO = np.zeros(1, dtype=np.int64)
 #: a range of fewer origins joins the reset-born block: its numpy calls cost more
 _MIN_BLOCK = 64
+#: a reset-born block of at most this many states is held as tuples (README, Numerics)
+_SMALL_BLOCK = 18
 #: weights formed on the fly (a block's sums origin by origin) are formed
 #: this many states at a time; an index array of at most this many origins
 #: joins the reset-born block, a longer one keeps its int64 form
@@ -177,18 +181,18 @@ class ForwardState:
     block's initial states: at t >= 1 the path from origin j is in state
     j + t - 1 with weight pi1/(j + t - 1)^2, which carries _INIT_ROUNDINGS
     roundings.  ``born_states`` (ascending, 1-based) and ``born_weights`` are
-    the reset-born block: the states below t, plus the paths of a never-reset
-    block that joined it (a range below _MIN_BLOCK origins, or an index array
-    of at most _CHUNK, whose int64 form saves memory only above that), each
-    weight within a factor 1 +- gamma_roundings of exact; its sums are dots
-    against the emission mask.  True weights are weights * 2**scale_log2; only
-    a state without a never-reset block is rescaled.  ``total`` is the sum of
-    all alive weights; dropped_mass is an absolute certified bound on all
-    excluded weight.
+    the reset-born block, tuples up to _SMALL_BLOCK states and arrays above:
+    the states below t, plus the paths of a never-reset block that joined it
+    (a range below _MIN_BLOCK origins, or an index array of at most _CHUNK,
+    whose int64 form saves memory only above that), each weight within a
+    factor 1 +- gamma_roundings of exact.  True weights are weights *
+    2**scale_log2; only a state without a never-reset block is rescaled.
+    ``total`` is the sum of all alive weights; dropped_mass is an absolute
+    certified bound on all excluded weight.
 
     The constructor takes the reset-born block and the total as given.  The
-    properties ``states`` and ``weights`` read all alive states, both
-    blocks, ascending, materialised on each read; no weight is zero.
+    properties ``states`` and ``weights`` read all alive states, both blocks,
+    ascending, as int64 and float64 arrays made on each read; no weight is 0.
     """
 
     def __init__(self, t: int, born_states: np.ndarray, born_weights: np.ndarray,
@@ -210,12 +214,12 @@ class ForwardState:
         o = self.origins
         if isinstance(o, range):
             o = np.arange(o.start, o.stop, o.step, dtype=np.int64)
-        return np.concatenate([self.born_states, o + max(self.t - 1, 0)])
+        return np.concatenate([np.array(self.born_states, np.int64), o + max(self.t - 1, 0)])
 
     @property
     def weights(self) -> np.ndarray:
         j = self.states[len(self.born_states):].astype(np.float64)
-        return np.concatenate([self.born_weights, _stationary(j)])
+        return np.concatenate([np.array(self.born_weights, dtype=np.float64), _stationary(j)])
 
     def log2_mass(self) -> float:
         """log2 of the tracked mass (the point value, not an enclosure end)."""
@@ -241,7 +245,7 @@ class Transition(NamedTuple):
 
     born_states, born_weights and roundings are as in ForwardState (the
     reset-born block now holds the new state 1 in front); born_ones marks
-    its states emitting 1.  origins is unchanged.
+    its states emitting 1 (bools for a tuple block).  origins is unchanged.
     common is the one symbol all their next states emit, or None if they
     differ; then origin_ones marks the origins whose next state emits 1 (a
     view of the emission table for a range).  s0, s1 are the sums of all weights by emission.
@@ -347,7 +351,7 @@ class MuX:
         # state j reads x_{j+1} after its up-move; the new state 1 reads x_1.
         # The tables are sized first: a strided view past their end would
         # come back short instead of failing
-        top = s.item(-1) + 1 if len(s) else 1
+        top = int(s[-1]) + 1 if len(s) else 1
         if len(o):
             top = max(top, int(o[-1]) + t)
         self._ensure_tables(top)
@@ -359,8 +363,24 @@ class MuX:
             sums = self._range_sums(o, t) if t and isinstance(o, range) else None
             inflow, b0, b1, origin_ones, common, block_roundings = (
                 sums or self._direct_sums(o, t))
+        # the born dot product's terms each add a product and a sum
+        roundings = state.roundings + _TABLE_ROUNDINGS + len(s) + block_roundings
         if t == 0:
             states, v, roundings, ones = s, w, state.roundings, self._ones[s - 1]
+        elif isinstance(s, tuple):  # a small block: the same terms in Python floats
+            table, reset, up, ones, sums = self._ones, 0.0, [], [], [0.0, 0.0]
+            for j, x in zip(s, w):
+                c, e = j + 1, table.item(j)
+                reset += x * ((j + c) / (c * c))
+                r = j / c
+                x = r * r * x
+                up.append(x)
+                ones.append(e)
+                sums[e] += x
+            first, e = reset + inflow, table.item(0)
+            sums[e] += first
+            return Transition((1, *(j + 1 for j in s)), (first, *up), (e, *ones), o,
+                              origin_ones, common, sums[0] + b0, sums[1] + b1, roundings)
         else:
             previous = np.concatenate((_ZERO, s))  # states - 1
             states = previous + 1
@@ -374,8 +394,6 @@ class MuX:
             np.square(up, out=up)  # p_j = (j/(j+1))^2: 3 roundings with w
             up *= w
             ones = self._ones.take(previous)
-            # the born dot product's terms each add a product and a sum
-            roundings = state.roundings + _TABLE_ROUNDINGS + len(s) + block_roundings
         # dots against the 0/1 emission masks, whose products are exact
         s1, s0 = float(v.dot(ones)) + b1, float(v.dot(~ones)) + b0
         return Transition(states, v, ones, o, origin_ones, common, s0, s1, roundings)
@@ -422,8 +440,13 @@ class MuX:
                 step: Transition) -> ForwardState:
         """Consume one symbol, given ``step = self.propagate(state)``."""
         validate_symbol(symbol)
-        keep = (step.born_ones if symbol else ~step.born_ones).nonzero()[0]
-        states, w = step.born_states.take(keep), step.born_weights.take(keep)
+        states = step.born_states
+        if isinstance(states, tuple):
+            keep = step.born_ones if symbol else [not e for e in step.born_ones]
+            states, w = list(compress(states, keep)), list(compress(step.born_weights, keep))
+        else:
+            keep = (step.born_ones if symbol else ~step.born_ones).nonzero()[0]
+            states, w = states.take(keep), step.born_weights.take(keep)
         origins = step.origins
         if step.common is not None:
             if step.common != symbol:
@@ -438,6 +461,11 @@ class MuX:
                 origins = _as_range(origins[idx])
         total = step.s1 if symbol else step.s0
         dropped, scale = state.dropped_mass, state.scale_log2
+        joins = 0 < len(origins) < _MIN_BLOCK or (not isinstance(origins, range)
+                                                  and len(origins) <= _CHUNK)
+        if isinstance(w, list) and (joins or len(w) > _SMALL_BLOCK or 0.0 < total < _RESCALE_FLOOR
+                                    or min(w, default=1.0) < _WEIGHT_FLOOR):
+            states, w = np.array(states, dtype=np.int64), np.array(w)  # the numpy steps below
         # a never-reset weight is at least pi1/(J+t)^2, and every reset-born
         # one descends from an inflow of at least pi1/(J+t)^3 while the
         # never-reset block lives, so the floors below touch only the
@@ -447,7 +475,7 @@ class MuX:
             w = w * 2.0**shift
             total *= 2.0**shift
             scale -= shift
-        if len(w) and np.minimum.reduce(w) < _WEIGHT_FLOOR:
+        if isinstance(w, np.ndarray) and len(w) and np.minimum.reduce(w) < _WEIGHT_FLOOR:
             assert not len(origins)
             small = w < _WEIGHT_FLOOR
             bound = float(w[small].sum()) * (1.0 + 2.0 * _rel_err(step))
@@ -455,14 +483,17 @@ class MuX:
                 dropped = float(np.nextafter(dropped + math.ldexp(bound, int(scale)), np.inf))
             states, w = states[~small], w[~small]
             total = float(w.sum())
-        if 0 < len(origins) < _MIN_BLOCK or (not isinstance(origins, range)
-                                             and len(origins) <= _CHUNK):
+        if joins:
             # the block joins the reset-born one, origin j in state j + t;
             # its weights' 6 roundings are within the count
             joined = np.asarray(origins, dtype=np.int64) + state.t
             states = np.concatenate((states, joined))
             w = np.concatenate((w, _stationary(joined.astype(np.float64))))
             origins = _NO_ORIGINS
+        if isinstance(states, np.ndarray) and len(states) <= _SMALL_BLOCK:
+            states, w = states.tolist(), w.tolist()
+        if isinstance(states, list):  # tuple() of an unsized iterator resizes (README)
+            states, w = tuple(states), tuple(w)
         return ForwardState(state.t + 1, states, w, dropped, scale_log2=scale,
                             roundings=step.roundings, total=total, origins=origins)
 

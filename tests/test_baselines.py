@@ -147,33 +147,66 @@ def test_mixture_matches_exact_rational_oracle(max_order, past):
         assert mix.log2_joints[k] == pytest.approx(math.log2(joint), rel=1e-12)
 
 
-def _reference_mixture_predictions(max_order, past):
-    """(p0, p1) before each symbol of past and after the last, by the
-    mixture's formula written out plainly: each order's KT conditional in
-    its context, log2 joints, and the posterior over the log2 terms shifted
-    by their max, summed left to right as lists."""
-    raw = [2.0 ** (-k) for k in range(max_order + 1)]
-    log2_weights = [math.log2(w / math.fsum(raw)) for w in raw]
-    joints = [0.0] * (max_order + 1)
+def _kt_conditionals(max_order, past):
+    """Each order's KT P(next=1) in its context before each symbol of past
+    and after the last, from counts kept per context as tuples."""
     counts = [{} for _ in range(max_order + 1)]
     out = []
     for t in range(len(past) + 1):
-        p1s = []
-        for k in range(max_order + 1):
-            n0, n1 = counts[k].get(past[max(t - k, 0):t], (0, 0))
-            p1s.append((n1 + 0.5) / (n0 + n1 + 1))
-        a = [lw + lj for lw, lj in zip(log2_weights, joints)]
+        out.append([(n1 + 0.5) / (n0 + n1 + 1) for n0, n1 in (
+            counts[k].get(past[max(t - k, 0):t], (0, 0)) for k in range(max_order + 1))])
+        if t < len(past):
+            for k in range(max_order + 1):
+                n = counts[k].setdefault(past[max(t - k, 0):t], [0, 0])
+                n[past[t]] += 1
+    return out
+
+
+def _log2_terms(max_order, past, p1s):
+    """log2 w_k + log2 mu_k(past[:t]) before each symbol and after the last."""
+    raw = [2.0 ** (-k) for k in range(max_order + 1)]
+    log2_weights = [math.log2(w / math.fsum(raw)) for w in raw]
+    joints, out = [0.0] * (max_order + 1), []
+    for t, p in enumerate(p1s):
+        out.append([lw + j for lw, j in zip(log2_weights, joints)])
+        if t < len(past):
+            joints = [j + math.log2(pk if past[t] else 1.0 - pk) for j, pk in zip(joints, p)]
+    return out
+
+
+def _reference_mixture_predictions(max_order, past):
+    """(p0, p1) before each symbol of past and after the last, by the
+    mixture's formula written out plainly: linear posterior weights, rebuilt
+    from the log2 terms at the start and whenever one falls below 2^-960,
+    else multiplied by each order's conditional of the symbol and divided by
+    the mixture's; p1 = sum g_k p_k / sum g_k, summed left to right."""
+    p1s = _kt_conditionals(max_order, past)
+    terms = _log2_terms(max_order, past, p1s)
+    g, out = None, []
+    for t, p in enumerate(p1s):
+        if t:
+            s = past[t - 1]
+            q = [pk if s else 1.0 - pk for pk in p1s[t - 1]]
+            g = [gk * qk / out[-1][s] for gk, qk in zip(g, q)]
+        if g is None or min(g) < 2.0**-960:
+            m = max(terms[t])
+            g = [2.0 ** max(x - m, -960.0) for x in terms[t]]
+        p1 = sum_left([gk * pk for gk, pk in zip(g, p)]) / sum_left(g)
+        out.append((1.0 - p1, p1))
+    return out
+
+
+def _log_space_mixture_predictions(max_order, past):
+    """The same conditionals with the posterior formed afresh each step from
+    the log2 terms, shifted by their max, raised to powers of 2 and
+    normalised, summed left to right: a second, independent reference."""
+    p1s, out = _kt_conditionals(max_order, past), []
+    for a, p in zip(_log2_terms(max_order, past, p1s), p1s):
         m = max(a)
         g = [2.0 ** (x - m) for x in a]
         total = sum_left(g)
-        p1 = min(max(sum_left([gk / total * pk for gk, pk in zip(g, p1s)]), 0.0), 1.0)
+        p1 = min(max(sum_left([gk / total * pk for gk, pk in zip(g, p)]), 0.0), 1.0)
         out.append((1.0 - p1, p1))
-        if t < len(past):
-            s = past[t]
-            for k in range(max_order + 1):
-                joints[k] += math.log2(p1s[k] if s else 1.0 - p1s[k])
-                n = counts[k].setdefault(past[max(t - k, 0):t], [0, 0])
-                n[s] += 1
     return out
 
 
@@ -215,8 +248,8 @@ MIXTURE_ADVERSARY_FULL_SHA256 = {
     5: "a2444639c02274cf05f3121715cd31a96459f36ebc8f460f09b01520cd2cfac5",
 }
 MIXTURE_PICKED_PROBS_SHA256 = {
-    3: "b27cbd041dac1b6fae78bfb1ccfe9bdff9bfcf01509287a7503297ce476c2b88",
-    5: "867732fee1a76a7ec2fa2cf2decaf1c8a674144392b0d992e5833b6686dcf31d",
+    3: "eb004375c022f0d8b3af81e69cb5985200b1f13136b43b09ba44cbb958b6f2af",
+    5: "13ebaea75f72ee85009b289e16ffa36b58cc083685a99c5c363f34e149471413",
 }
 
 
@@ -228,6 +261,50 @@ def test_mixture_adversary_is_pinned_at_theorem1_length(max_order):
     assert digest == MIXTURE_ADVERSARY_FULL_SHA256[max_order]
     probs = repr(source.picked_probs(10064).tolist())
     assert hashlib.sha256(probs.encode()).hexdigest() == MIXTURE_PICKED_PROBS_SHA256[max_order]
+
+
+@pytest.mark.parametrize("max_order", range(9))
+def test_mixture_adversary_matches_the_exact_rational_adversary(max_order):
+    # ties go to 0: at K = 7, step 7, the exact conditional is 1/2, which a
+    # posterior normalising each weight before the sum reads as
+    # 0.49999999999999994
+    past = ()
+    for _ in range(40):
+        p1 = _exact_mixture(max_order, past + (1,))[0] / _exact_mixture(max_order, past)[0]
+        past += (0 if p1 >= 1 - p1 else 1,)
+    assert adversarial_sequence(FiniteOrderMixture(max_order), 40).tolist() == list(past)
+
+
+def _assert_close_to_log_space(mix, past):
+    """Checks each conditional along past against the log-space posterior,
+    and that no weight is 0; returns the conditionals."""
+    want, got = _log_space_mixture_predictions(mix.max_order, past), []
+    for s, (w0, w1) in zip(past + (None,), want):
+        p0, p1 = mix.predict()
+        assert abs(p0 - w0) <= 1e-12 * w0 and abs(p1 - w1) <= 1e-12 * w1
+        assert all(g > 0.0 for g in mix._g)
+        got.append((p0, p1))
+        if s is not None:
+            mix.observe(s)
+    return got
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 3, 5, 8])
+def test_mixture_stays_close_to_the_log_space_posterior(max_order):
+    # the theorem1 battery's length at n = 500, J = 1e4
+    past = tuple(adversarial_sequence(FiniteOrderMixture(max_order), 11_322).tolist())
+    _assert_close_to_log_space(FiniteOrderMixture(max_order), past)
+
+
+def test_mixture_weights_rebuild_below_the_floor():
+    # on 0101... order 0 loses about a bit a step to order 1, so its weight
+    # passes 2^-960 near step 970 and would underflow to 0 near step 1080
+    past = (0, 1) * 600
+    mix = FiniteOrderMixture(1)
+    got = _assert_close_to_log_space(mix, past)
+    assert repr(got) == repr(_reference_mixture_predictions(1, past))
+    terms = [lw + j for lw, j in zip(mix.log2_weights, mix.log2_joints)]
+    assert terms[0] - terms[1] < -1100
 
 
 def _assert_chain_rule(mix, past):

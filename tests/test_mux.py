@@ -1037,6 +1037,41 @@ def test_index_arrays_of_up_to_one_chunk_join_without_changing_the_conditionals(
         assert arrays > 0
 
 
+def _steps(mux, y):
+    """(alive states, rounding count, conditionals, held as tuples) per step."""
+    pred, out = mux.predictor(), []
+    for s in y:
+        state = pred._state
+        out.append((state.states.tolist(), state.roundings, pred.predict(),
+                    isinstance(state.born_states, tuple)))
+        pred.observe(s)
+    return out
+
+
+@pytest.mark.parametrize("spec, trunc, n", [
+    ("uniform", 10_000, 500), ("kt", 10_000, 500), ("mix:3", 10_000, 500),
+    ("mux:periodic:01", 10_000, 500), ("coin:7", 10**6, 60), ("champernowne", 10**6, 60)])
+def test_small_blocks_in_python_floats_match_the_numpy_step(monkeypatch, spec, trunc, n):
+    # theorem1's four sequences, and the deep targets, whose index arrays
+    # join the reset-born block near step 5 and shrink below the switch by
+    # step 20; a size of -1 holds every block in numpy.  The sums' order
+    # differs, so conditionals agree within 1e-12 and the counts exactly
+    if spec in ("coin:7", "champernowne"):
+        src = parse_source_spec(spec)
+    else:
+        src = AdversarialSource(parse_predictor_spec(spec, trunc))
+    y = src.prefix_array(n).tolist()
+    small = _steps(MuX(src, ChainSpec(trunc)), y)
+    monkeypatch.setattr(mux_module, "_SMALL_BLOCK", -1)
+    blocks = _steps(MuX(src, ChainSpec(trunc)), y)
+    for (states, r, p, _), (want_states, want_r, q, in_tuples) in zip(small, blocks):
+        assert states == want_states and r == want_r and not in_tuples
+        assert p == pytest.approx(q, rel=1e-12, abs=0)
+    # both forms, and a switch between them, on every target
+    kinds = [s[3] for s in small]
+    assert any(kinds) and any(a != b for a, b in zip(kinds, kinds[1:]))
+
+
 @given(st.lists(st.integers(1, 60), max_size=12, unique=True))
 @example([1, 3, 4, 7])  # even ends, uneven inside
 @example([1, 3, 5, 8])  # even start, the ends rule it out
