@@ -159,9 +159,9 @@ def _cmd_mux_sample(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    cfg = ExperimentConfig(command="loss", predictor_spec=args.rho,
-                           source_spec=args.target, horizon=args.n,
-                           trunc=args.trunc, out_dir=args.out)
+    cfg = ExperimentConfig(command="loss", predictor_spec=args.rho, source_spec=args.target,
+                           horizon=args.n, out_dir=args.out,  # only a mux: rho reads trunc
+                           trunc=args.trunc if args.rho.startswith("mux:") else None)
     source = parse_source_spec(args.target)
     rho = parse_predictor_spec(args.rho, trunc=args.trunc)
     trace = loss.dirac_kl(source, rho, args.n)

@@ -33,13 +33,14 @@ is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
     T (1 - gamma_k) <= mu_x(y) <= T (1 + gamma_k) + dropped_mass,
 
-with both ends rounded outward in log space and a tracked power-of-two
-rescale against underflow.  Dropped trajectories are never re-examined, so
-the width never shrinks below dropped_mass; for long pasts it can exceed the
-marginal itself, and the *point* predictor therefore does not midpoint the
-enclosures.  It serves the conditionals of the truncated measure (the chain
-started from the stationary law restricted to 1..J, renormalized), whose
-cumulative loss telescopes to T; interval widths are still logged.
+with a tracked power-of-two rescale against underflow.  Conditional ends are
+formed in linear space, within the spare roundings of gamma_k; log2 ends,
+rounded outward, are formed only where an interval is reported.  Dropped
+trajectories are never re-examined, so the width never shrinks below
+dropped_mass; for long pasts it can exceed the marginal itself, and the
+*point* predictor therefore does not midpoint the enclosures.  It serves the
+conditionals of the truncated measure (the chain started from the stationary
+law restricted to 1..J, renormalized), whose cumulative loss telescopes to T.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .core import (
     Symbol,
     Word,
     log2_sum,
-    prob,
     validate_symbol,
 )
 
@@ -74,10 +74,10 @@ _WEIGHT_FLOOR = 2.0**-960
 _U = 2.0**-53  # unit roundoff
 #: roundings behind a stationary weight pi1/j^2 and behind a transition
 #: probability p_j or 1 - p_j; the spare ones cover forming enclosure ends
-#: from a sum
+#: from a sum: 2 for a marginal's T (1 -+ r), 6 for each conditional end
 _INIT_ROUNDINGS, _TABLE_ROUNDINGS, _SPARE_ROUNDINGS = 6, 3, 8
-#: outward slack per bit of log2 magnitude, for log2, adding the scale,
-#: logaddexp2 and the exp2 that reads an endpoint back
+#: outward slack per bit of log2 magnitude, for an end's log2, adding the
+#: scale, logaddexp2 with the dropped mass and the exp2 that reads it back
 _LOG_SLACK = 8.0 * _U
 
 _NO_ORIGINS = range(0)
@@ -512,24 +512,26 @@ class MuX:
         return self._walk(y)._state.interval()
 
     def conditional_next(self, past: Word) -> tuple[LogInterval, LogInterval]:
-        """Enclosures of mu_x(next=0 | past) and mu_x(next=1 | past).
-
-        Outward-rounded interval division of the one-step-extended marginal
-        by the past marginal, whose upper end is positive on every past: it
-        includes the dropped mass, at least the tail pi1/J.  A dead past
-        (``total <= 0``: zero tracked mass) gets the vacuous enclosures [0, 1].
-        """
+        """Enclosures of mu_x(next=0 | past) and mu_x(next=1 | past): the ends of
+        ``_conditional_ends`` rounded outward into log2.  A dead past (``total
+        <= 0``: zero tracked mass) gets the vacuous enclosures [0, 1]."""
         pred = self._walk(past)
         state, step = pred._state, pred._propagated()
-        return tuple(LogInterval(*self._conditional_ends(state, step, a)) for a in (0, 1))
+        ends = [self._conditional_ends(state, step, a) for a in (0, 1)]
+        ends = [(_log2_out(lo, False), min(0.0, _log2_out(hi, True))) for lo, hi in ends]
+        return tuple(LogInterval(min(lo, hi), hi) for lo, hi in ends)
 
     def _conditional_ends(self, state: ForwardState, step: Transition,
                           symbol: Symbol) -> tuple[float, float]:
-        """The log2 ends, lower and upper, of the enclosure of the
-        conditional of ``symbol`` after ``state``."""
+        """The ends of the enclosure of the conditional of ``symbol`` after
+        ``state``, as probabilities: interval division of the extended mass
+        by the past mass, whose upper end includes the dropped mass (>= pi1/J).
+        Each end takes 6 roundings on top of the sums' (lo: 1 - r, s_a (1 - r),
+        1 + r, den (1 + r), + d, /; hi: the same with -r and +r swapped), within
+        the _SPARE_ROUNDINGS that r counts, so both are certified as computed.
+        A subnormal lo has no relative rounding bound and reads 0."""
         den = step.s0 + step.s1
-        # interval division in the state's scaled units, where the dropped
-        # mass reads d * 2**-scale (inf once it dwarfs the tracked mass)
+        # the dropped mass in the state's scaled units (inf once it dwarfs T)
         try:
             d_scaled = math.ldexp(state.dropped_mass, -int(state.scale_log2))
         except OverflowError:
@@ -537,11 +539,9 @@ class MuX:
         r = _rel_err(step)
         den_lower = den * (1.0 - r)
         s_a = step.s1 if symbol else step.s0
-        lo = _log2_out(s_a * (1.0 - r) / (den * (1.0 + r) + d_scaled), False)
-        hi = 0.0
-        if den_lower > 0.0:
-            hi = min(0.0, _log2_out((s_a * (1.0 + r) + d_scaled) / den_lower, True))
-        return min(lo, hi), hi
+        lo = s_a * (1.0 - r) / (den * (1.0 + r) + d_scaled)
+        hi = min(1.0, (s_a * (1.0 + r) + d_scaled) / den_lower) if den_lower > 0.0 else 1.0
+        return (lo if lo >= sys.float_info.min else 0.0), hi
 
     # -- views ---------------------------------------------------------------
 
@@ -580,8 +580,8 @@ class MuxPredictor(Predictor):
     renormalized midpoints of the then-vacuous enclosures; this measure-zero
     convention keeps it total for adversarial use.
 
-    ``last_interval_width`` records the enclosure width of the most recent
-    prediction for diagnostic logging.
+    ``last_interval_width`` records hi - lo of the linear enclosure of the
+    most recent prediction's next-0 conditional, for diagnostic logging.
 
     Its first two steps, O(J) and up to O(J/2), are the same on every past,
     so it reads them from the MuX, which builds them once (``MuX._shared``).
@@ -616,7 +616,7 @@ class MuxPredictor(Predictor):
             return (0.5, 0.5)
         step = self._propagated()
         lo, hi = self.mux._conditional_ends(self._state, step, 0)
-        self.last_interval_width = prob(hi) - prob(lo)  # LogInterval(lo, hi).width
+        self.last_interval_width = hi - lo
         # a live past's alive weights are >= 2^-960 after the floors, and p_j
         # and 1 - p_j are >= 2^-62: every weight after the step, so s0 + s1, is > 0
         p1 = step.s1 / (step.s0 + step.s1)

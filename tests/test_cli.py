@@ -269,6 +269,11 @@ def test_flags_without_effect_are_gone(tmp_path, capsys):
     assert code == 0
     config = json.loads(text)["config"]
     assert config["trunc"] is None and config["seed"] == 1
+    # loss reads --trunc only for a mux: rho
+    for rho, trunc in (("kt", None), ("mux:periodic:01", 50)):
+        code, text = run_cli(capsys, "loss", "--rho", rho, "--target", "periodic:01",
+                             "-n", "20", "--trunc", "50", "--out", str(tmp_path / f"loss-{trunc}"))
+        assert code == 0 and json.loads(text)["config"]["trunc"] == trunc
 
 
 def test_usage_errors_exit_2(capsys):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predlab import (
+    IMPOSSIBLE,
     PI1,
     AdversarialSource,
     ChainSpec,
@@ -28,7 +29,6 @@ from predlab import (
     word_frequency,
 )
 from predlab.cli import main, parse_predictor_spec, parse_source_spec
-from predlab.core import prob
 from predlab import mux as mux_module
 from predlab.mux import ForwardState, _as_range
 
@@ -236,6 +236,36 @@ def test_interval_width_logged():
     assert 0.0 < pred.last_interval_width <= 1.0
 
 
+def test_predict_forms_the_width_without_log2_or_exp2(monkeypatch):
+    # the logged width is hi - lo of the linear ends: no outward log2 and no
+    # exp2 that reads a log2 end back
+    mux = MuX(CoinFlipSource(5), ChainSpec(10_000))
+    pred = mux.predictor()
+    for s in mux.source.prefix_array(36).tolist():  # both ends strictly inside (0, 1)
+        pred.observe(s)
+
+    def refuse(*args):
+        raise AssertionError("predict left linear space")
+
+    monkeypatch.setattr(mux_module, "_log2_out", refuse)
+    monkeypatch.setattr(mux_module, "prob", refuse, raising=False)
+    assert pred._state.total > 0.0
+    p0, _ = pred.predict()
+    lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
+    assert 0.0 < lo <= p0 <= hi < 1.0 and pred.last_interval_width == hi - lo
+
+
+def test_a_subnormal_lower_end_reads_zero():
+    # a subnormal quotient has no relative rounding bound: it is no certified
+    # lower end, and conditional_next's log2 end reads it as IMPOSSIBLE
+    mux = mux01(1000)
+    state, step = mux.initial_state(), mux.propagate(mux.initial_state())
+    for s0, subnormal in ((1e-300, False), (1e-310, True)):
+        lo, hi = mux._conditional_ends(state, step._replace(s0=s0), 0)
+        assert (lo == 0.0) == subnormal and 0.0 < hi < 1.0
+        assert (_log_enclosure((lo, hi)).lower_log2 == IMPOSSIBLE) == subnormal
+
+
 # ---------------------------------------------------------------------------
 # the first steps that a MuX shares
 # ---------------------------------------------------------------------------
@@ -261,8 +291,8 @@ def _unshared_run(mux, y):
             continue
         step = mux.propagate(state)
         p1 = step.s1 / (step.s0 + step.s1)
-        width = LogInterval(*mux._conditional_ends(state, step, 0)).width
-        out.append(repr(((1.0 - p1, p1), width, state.log2_mass())))
+        lo, hi = mux._conditional_ends(state, step, 0)
+        out.append(repr(((1.0 - p1, p1), hi - lo, state.log2_mass())))
         state = mux.advance(state, s, step)
     return out + [repr(state.log2_mass())]
 
@@ -275,12 +305,18 @@ def _queries(mux, y):
             for k in QUERY_LENGTHS]
 
 
+def _log_enclosure(ends):
+    """The LogInterval that conditional_next reports for _conditional_ends' ends."""
+    hi = min(0.0, mux_module._log2_out(ends[1], True))
+    return LogInterval(min(mux_module._log2_out(ends[0], False), hi), hi)
+
+
 def _unshared_queries(mux, y):
     states = [mux.initial_state()]
     for s in y:
         states.append(mux.advance(states[-1], s, mux.propagate(states[-1])))
     return [repr((states[k].interval(), tuple(
-        LogInterval(*mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a))
+        _log_enclosure(mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a))
         for a in (0, 1)))) for k in QUERY_LENGTHS]
 
 
@@ -575,9 +611,12 @@ def test_enclosures_contain_high_precision_recursion(spec, trunc):
             s0, s1 = sums[m]
             if s0 + s1 == 0:
                 continue
-            for iv, s_a in zip(mux.conditional_next(y[:m]), (s0, s1)):
+            pred = mux._walk(y[:m])
+            for a, (iv, s_a) in enumerate(zip(mux.conditional_next(y[:m]), (s0, s1))):
                 ratio = s_a / (s0 + s1)
                 assert_encloses(iv, ratio, ratio)
+                lo, hi = mux._conditional_ends(pred._state, pred._propagated(), a)
+                assert lo <= ratio <= hi  # the linear ends, with no slack
     if spec == "periodic:01":
         pred = mux.predictor()
         for s in (0,) * 2500:
@@ -670,9 +709,15 @@ def test_enclosures_contain_the_zeta_oracle_at_a_million_states(pattern):
         pred = mux.predictor()
         for t, ((s0, s1), sym) in enumerate(zip(zeta_forward_sums(pattern, trunc, y), y)):
             state, step = pred._state, pred._propagated()
+            # the linear ends, with no slack, at every step; the public
+            # query, which walks a fresh predictor, at the first and every 20th
+            queries = mux.conditional_next(y[:t]) if t < 3 or t % 20 == 0 else None
             for a, s_a in enumerate((s0, s1)):
                 ratio = s_a / (s0 + s1)
-                assert_encloses(LogInterval(*mux._conditional_ends(state, step, a)), ratio, ratio)
+                lo, hi = mux._conditional_ends(state, step, a)
+                assert lo <= ratio <= hi
+                if queries:
+                    assert_encloses(queries[a], ratio, ratio)
             pred.observe(sym)
             tracked = (s0, s1)[sym]
             assert_encloses(pred._state.interval(), tracked, tracked + tail)
@@ -1010,8 +1055,7 @@ def test_index_arrays_of_up_to_one_chunk_join_without_changing_the_conditionals(
         pred = mux.predictor()
         for s in y:
             state = pred._state
-            ends = [prob(e) for a in (0, 1)
-                    for e in mux._conditional_ends(state, pred._propagated(), a)]
+            ends = [e for a in (0, 1) for e in mux._conditional_ends(state, pred._propagated(), a)]
             out.append((pred.predict() + tuple(ends), state.roundings,
                         len(state.born_states) + len(state.origins),
                         type(state.origins) if len(state.origins) else None))
@@ -1166,26 +1210,33 @@ def test_logged_width_is_the_next_zero_enclosure_width(spec, first):
     pred = mux.predictor()
     for t, s in enumerate(y):
         pred.predict()
-        assert repr(pred.last_interval_width) == repr(mux.conditional_next(y[:t])[0].width)
+        if pred._state.total > 0.0:
+            lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
+            assert repr(pred.last_interval_width) == repr(hi - lo)
+        assert pred.last_interval_width <= mux.conditional_next(y[:t])[0].width
         pred.observe(s)
+
+
 @pytest.mark.parametrize("rho", ["uniform", "kt", "mix:3", "mux:periodic:01"])
 def test_logged_width_is_the_enclosure_width_on_theorem1_sequences(rho):
     # the battery's sequences at its size: the width logged after every
-    # predict is that of the LogInterval conditional_next builds from the
-    # same ends; the public query, which walks a fresh predictor, is
-    # checked at the first steps and then every 25th (it costs O(t) each)
+    # predict is hi - lo of the linear ends, and within the width of the
+    # LogInterval that conditional_next rounds out of them; the public query,
+    # which walks a fresh predictor, is checked at the first steps and then
+    # every 25th (it costs O(t) each)
     src = AdversarialSource(parse_predictor_spec(rho, 10_000))
     y = src.prefix_array(500).tolist()
     mux = MuX(src, ChainSpec(10_000))
     pred = mux.predictor()
     for t, s in enumerate(y):
         pred.predict()
-        width = repr(pred.last_interval_width)
+        width = pred.last_interval_width
         if pred._state.total > 0.0:
-            ends = mux._conditional_ends(pred._state, pred._propagated(), 0)
-            assert width == repr(LogInterval(*ends).width)
+            lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
+            assert repr(width) == repr(hi - lo)
+            assert width <= _log_enclosure((lo, hi)).width
         if t < 20 or t % 25 == 0:
-            assert width == repr(mux.conditional_next(y[:t])[0].width)
+            assert width <= mux.conditional_next(y[:t])[0].width
         pred.observe(s)
 
 
