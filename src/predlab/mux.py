@@ -20,9 +20,10 @@ The *reset-born block*, the states below t, keeps explicit weights: up to
 _SMALL_BLOCK states as tuples, stepped term by term in Python floats, and as
 int64 and float64 arrays above.  A never-reset block joins it as a range of
 fewer than _MIN_BLOCK origins or an index array of at most _CHUNK; a longer
-index array stays a block, as its int64 origins and chunked temporaries take
+index array stays a block: its int32 origins, formed _CHUNK at a time, take
 less memory than explicit weights.  Both blocks split their sums by emission,
-as dots against the 0/1 emission mask or term by term.
+as dots against the 0/1 emission mask or term by term.  States stay at most
+_MAX_STATE = 2^31 - 1, the int32 limit of the class counts and the origins.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
@@ -86,10 +87,11 @@ _ZERO = np.zeros(1, dtype=np.int64)
 _MIN_BLOCK = 64
 #: a reset-born block of at most this many states is held as tuples (README, Numerics)
 _SMALL_BLOCK = 18
-#: weights formed on the fly (a block's sums origin by origin) are formed
-#: this many states at a time; an index array of at most this many origins
-#: joins the reset-born block, a longer one keeps its int64 form
+#: weights formed on the fly (a block's sums origin by origin) and index
+#: arrays of origins are formed this many states at a time; an index array of
+#: at most this many origins joins the reset-born block, a longer one stays int32
 _CHUNK = 1 << 15
+_MAX_STATE = int(np.iinfo(np.int32).max)  # the largest state: int32 counts and origins
 #: B_14, B_12, ..., B_2: the Euler-Maclaurin corrections of _class_sums
 _BERNOULLI = (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 #: roundings of a range's sums: _class_sums' 11 + 16, then pi1 times a sum
@@ -173,18 +175,31 @@ def _as_range(origins: np.ndarray):
     return origins
 
 
+def _matching(origins, ones: np.ndarray, symbol: Symbol) -> np.ndarray:
+    """The origins whose ``ones`` entry is ``symbol``, ascending, in int32, with
+    ``flatnonzero`` run _CHUNK entries at a time: no 8-byte array of len(origins)."""
+    k = np.count_nonzero(ones)
+    out, n = np.empty(k if symbol else len(ones) - k, dtype=np.int32), 0
+    for i in range(0, len(ones), _CHUNK):
+        e, c = ones[i:i + _CHUNK], origins[i:i + _CHUNK]
+        pos = np.flatnonzero(e if symbol else ~e)
+        out[n:n + len(pos)] = pos * c.step + c.start if isinstance(c, range) else c[pos]
+        n += len(pos)
+    return out
+
+
 class ForwardState:
     """Forward weights after consuming t symbols, for the alive states
     (all consumed symbols matched) only, in two blocks.
 
-    ``origins`` (a range or an ascending int64 array) are the never-reset
+    ``origins`` (a range or an ascending int32 array) are the never-reset
     block's initial states: at t >= 1 the path from origin j is in state
     j + t - 1 with weight pi1/(j + t - 1)^2, which carries _INIT_ROUNDINGS
     roundings.  ``born_states`` (ascending, 1-based) and ``born_weights`` are
     the reset-born block, tuples up to _SMALL_BLOCK states and arrays above:
     the states below t, plus the paths of a never-reset block that joined it
     (a range below _MIN_BLOCK origins, or an index array of at most _CHUNK,
-    whose int64 form saves memory only above that), each weight within a
+    whose int32 form saves memory only above that), each weight within a
     factor 1 +- gamma_roundings of exact.  True weights are weights *
     2**scale_log2; only a state without a never-reset block is rescaled.
     ``total`` is the sum of all alive weights; dropped_mass is an absolute
@@ -282,15 +297,17 @@ class MuX:
     # -- cached tables --------------------------------------------------------
 
     def _ensure_tables(self, size: int) -> None:
-        """The emission table for states 1..size; the source must serve
-        indices up to size or this raises its exhaustion error.  Growing it
-        drops the class counts, which are rebuilt on their next use.  It
-        grows by at least an eighth, so those O(capacity) rebuilds cost O(1)
-        per state amortised, and the source serves at most about an eighth
-        more symbols than the frontier reads."""
+        """The emission table for states 1..size <= _MAX_STATE; the source must serve
+        indices up to size or this raises its exhaustion error.  Growing it drops
+        the class counts, rebuilt on their next use.  It grows by an eighth (up to
+        _MAX_STATE), so those O(capacity) rebuilds cost O(1) per state amortised,
+        and the source serves at most about an eighth more symbols than the frontier reads."""
         if size <= self._cap:
             return
-        new_cap = max(size, -(-9 * self._cap // 8), self.chain.truncation_level + 64)
+        if size > _MAX_STATE:
+            raise ValueError(f"state {size} exceeds {_MAX_STATE}, the largest the tables hold")
+        new_cap = min(max(size, -(-9 * self._cap // 8), self.chain.truncation_level + 64),
+                      _MAX_STATE)
         try:
             emis = self.source.prefix_array(new_cap)
         except SourceExhaustedError:
@@ -452,13 +469,7 @@ class MuX:
             if step.common != symbol:
                 origins = _NO_ORIGINS
         elif len(origins):
-            idx = np.flatnonzero(step.origin_ones if symbol else ~step.origin_ones)
-            if isinstance(origins, range):
-                idx *= origins.step
-                idx += origins.start
-                origins = _as_range(idx)
-            else:
-                origins = _as_range(origins[idx])
+            origins = _as_range(_matching(origins, step.origin_ones, symbol))
         total = step.s1 if symbol else step.s0
         dropped, scale = state.dropped_mass, state.scale_log2
         joins = 0 < len(origins) < _MIN_BLOCK or (not isinstance(origins, range)
@@ -486,7 +497,7 @@ class MuX:
         if joins:
             # the block joins the reset-born one, origin j in state j + t;
             # its weights' 6 roundings are within the count
-            joined = np.asarray(origins, dtype=np.int64) + state.t
+            joined = np.add(origins, state.t, dtype=np.int64)
             states = np.concatenate((states, joined))
             w = np.concatenate((w, _stationary(joined.astype(np.float64))))
             origins = _NO_ORIGINS

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tracemalloc
@@ -30,7 +31,7 @@ from predlab import (
 )
 from predlab.cli import main, parse_predictor_spec, parse_source_spec
 from predlab import mux as mux_module
-from predlab.mux import ForwardState, _as_range
+from predlab.mux import ForwardState, _as_range, _matching
 
 from conftest import corpus_sources
 
@@ -624,6 +625,32 @@ def test_enclosures_contain_high_precision_recursion(spec, trunc):
         assert pred._state.scale_log2 < 0.0
 
 
+@pytest.mark.parametrize("spec, trunc", [("coin:7", 64), ("champernowne", 64),
+                                         ("coin:7", 500), ("periodic:011", 500)])
+def test_conditional_ends_without_the_dropped_mass_contain_the_truncated_conditional(
+        spec, trunc):
+    # with dropped_mass = 0 the ends are s_a (1 -+ r) / (den (1 +- r)): only
+    # the rounding term r separates them from the truncated measure's
+    # conditional s_a / (s0 + s1), which the 50-digit recursion gives, so a
+    # wrong sign of r shows here where the truncation term d would hide it
+    src = parse_source_spec(spec)
+    mux = MuX(src, ChainSpec(trunc))
+    words = [mux.sample_trajectory(120, seed=trunc).tolist(), src.prefix_array(120).tolist()]
+    checked = 0
+    for y in words:
+        pred = mux.predictor()
+        for s, (s0, s1) in zip(y, mp_forward_sums(src, trunc, y)):
+            if pred._state.total > 0.0:
+                state = copy.copy(pred._state)
+                state.dropped_mass = 0.0
+                for a, s_a in enumerate((s0, s1)):
+                    lo, hi = mux._conditional_ends(state, pred._propagated(), a)
+                    assert lo <= s_a / (s0 + s1) <= hi
+                    checked += 1
+            pred.observe(s)
+    assert checked >= 2 * 120  # the target's prefix never dies
+
+
 @pytest.mark.parametrize("trunc", [64, 500, 10_000])
 def test_periodic01_enclosures_contain_closed_form_marginals(trunc):
     # at J = infinity on periodic:01 the odd states emit 0, so mu(0) = pi1 *
@@ -1045,7 +1072,8 @@ def test_index_arrays_of_up_to_one_chunk_join_without_changing_the_conditionals(
     # index arrays of up to 32Ki origins.  Joined weights then follow the
     # born recursion instead of pi1/m^2, so the conditionals agree up to
     # rounding, the alive counts exactly, and so do the rounding counts
-    # while a joined origin adds one rounding a step either way
+    # while a joined origin adds one rounding a step either way.  A chunk
+    # of 1 also forms each split's origins one mask entry at a time
     src = parse_source_spec(spec)
     words = (src.prefix_array(200).tolist(),
              MuX(src).sample_trajectory(200, seed=5).tolist())
@@ -1124,6 +1152,83 @@ def test_evenly_spaced_origins_become_a_range(values):
     got = _as_range(origins)
     assert isinstance(got, range) == (len(origins) < 3 or len(set(np.diff(origins))) == 1)
     assert list(got) == origins.tolist()
+
+
+@pytest.mark.parametrize("length", [0, 1, mux_module._CHUNK - 1, mux_module._CHUNK,
+                                    mux_module._CHUNK + 1, 3 * mux_module._CHUNK + 5])
+@pytest.mark.parametrize("symbol", [0, 1])
+def test_matching_origins_are_flatnonzero_formed_a_chunk_at_a_time(length, symbol):
+    ones = np.random.default_rng(length).integers(0, 2, size=length).astype(bool)
+    want = np.flatnonzero(ones if symbol else ~ones)
+    index_array = np.arange(7, 7 + 3 * length, 3, dtype=np.int32)
+    for origins, expected in ((range(length), want),
+                              (range(5, 5 + 4 * length, 4), 4 * want + 5),
+                              (index_array, index_array[want])):
+        got = _matching(origins, ones, symbol)
+        assert got.dtype == np.int32
+        assert got.tolist() == expected.tolist()
+
+
+def test_split_origins_are_int32_at_a_million_states():
+    # coin:7's first symbol splits the range 1..J into an index array of
+    # about J/2 origins, the second one that again: both stay int32
+    src = parse_source_spec("coin:7")
+    mux = MuX(src, ChainSpec(10**6))
+    state = mux.initial_state()
+    for s in src.prefix_array(2).tolist():
+        state = mux.advance(state, s, mux.propagate(state))
+        assert isinstance(state.origins, np.ndarray) and len(state.origins) > mux_module._CHUNK
+        assert state.origins.dtype == np.int32
+        assert state.states.dtype == np.int64
+
+
+class _UnreadSource(SequenceSource):
+    """Fails the test if any symbol is asked for."""
+
+    def symbol_at(self, t):
+        pytest.fail(f"symbol_at({t}) was called")
+
+    def prefix_array(self, n):
+        pytest.fail(f"prefix_array({n}) was called")
+
+
+def test_states_above_the_int32_limit_are_refused_before_the_source_is_read():
+    limit = np.iinfo(np.int32).max
+    assert mux_module._MAX_STATE == limit
+    with pytest.raises(ValueError, match=str(limit)):
+        MuX(_UnreadSource(), ChainSpec(limit + 1)).initial_state()
+    assert main(["mux", "marginal", "--target", "periodic:0", "--query", "0",
+                 "--trunc", str(limit + 1)]) == 2
+
+
+class _StubTableSource(SequenceSource):
+    """Records prefix requests and serves one symbol for each: a stand-in
+    for tables too large to build in a test."""
+
+    def __init__(self):
+        self.requests = []
+
+    def symbol_at(self, t):
+        return 0
+
+    def prefix_array(self, n):
+        self.requests.append(n)
+        return np.zeros(1, dtype=np.uint8)
+
+
+def test_table_growth_stops_at_the_int32_limit():
+    # an eighth more than a capacity near the limit would pass it, so the
+    # request is cut to the limit
+    limit = mux_module._MAX_STATE
+    src = _StubTableSource()
+    mux = MuX(src, ChainSpec(1000))
+    mux._cap = limit - 100
+    mux._ensure_tables(limit - 50)
+    assert src.requests == [limit] and mux._cap == limit
+    mux._ensure_tables(limit)  # the limit itself is a valid state
+    assert src.requests == [limit]
+    with pytest.raises(ValueError):
+        mux._ensure_tables(limit + 1)
 
 
 def test_forward_states_are_sparse_and_sorted():
