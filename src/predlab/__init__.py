@@ -7,6 +7,8 @@ sequence constructor that defeats any fixed predictor, and baseline
 predictors to throw at it.
 """
 
+import types as _types
+
 from .adversary import (
     AdversarialRun,
     AdversarialSource,
@@ -59,22 +61,9 @@ from .mux import (
     log_loss_bound,
 )
 
-#: the public names, one group per submodule (the submodules themselves
-#: stay out of ``from predlab import *``)
-__all__ = [
-    "AdversarialRun", "AdversarialSource", "adversarial_sequence",
-    "theorem1_experiment",
-    "FiniteOrderMixture", "KTPredictor", "UniformPredictor",
-    "PI1", "ChainSpec", "StatePath", "chain_info", "first_return_prob",
-    "mean_return_time", "return_prob_partial_sum", "sample_path",
-    "stationary_weight", "transition_prob",
-    "IMPOSSIBLE", "ChampernowneSource", "CoinFlipSource", "DiracPredictor",
-    "FileSource", "LogInterval", "PeriodicSource", "Predictor",
-    "SequenceSource", "SourceExhaustedError", "Symbol", "Word",
-    "format_bits", "log2_sum", "parse_bits", "prob",
-    "LossTrace", "dirac_kl", "stationarity_window_check",
-    "window_distribution", "word_frequency",
-    "ForwardState", "MuX", "MuxPredictor",
-    "brute_force_marginal", "log_loss_bound",
-]
 __version__ = "0.1.0"
+
+#: the public names: every name imported above but the submodules, which stay
+#: out of ``from predlab import *``
+__all__ = [k for k, v in globals().items()
+           if not k.startswith("_") and not isinstance(v, _types.ModuleType)]

@@ -125,21 +125,13 @@ def sample_stationary_state(rng: np.random.Generator) -> int:
             return j
 
 
-def sample_path(n: int, seed: int, start: int | None = None) -> StatePath:
-    """Length-n state path; ``start=None`` draws the initial state from the
-    stationary law, ``start=j`` pins it.  Deterministic given the seed."""
+def sample_path(n: int, seed: int) -> StatePath:
+    """Length-n state path from a stationary start, at most 2^53 (floor(1/W),
+    W >= 2^-53), so every state fits int64; deterministic given the seed."""
     if n < 1:
         raise ValueError("path length must be >= 1")
     rng = np.random.default_rng(seed)
-    if start is None:
-        j0 = sample_stationary_state(rng)
-    elif start < 1:
-        raise ValueError("fixed start state must be >= 1")
-    elif start > 2**63 - n:
-        raise ValueError(f"fixed start state must be <= 2**63 - n = {2**63 - n}, "
-                         "or the path's states overflow int64")
-    else:
-        j0 = start
+    j0 = sample_stationary_state(rng)
     # first run j0, j0+1, ...: k more up-moves with P(>= k) = j0^2/(j0+k)^2
     k0 = math.floor(j0 * ((1.0 - rng.random()) ** -0.5 - 1.0))
     first = min(k0 + 1, n)

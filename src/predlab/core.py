@@ -103,8 +103,8 @@ class LogInterval:
             return self.width_prob
         return self.upper_prob - self.lower_prob
 
-    def contains(self, p: float, slack: float = 0.0) -> bool:
-        return self.lower_prob - slack <= p <= self.upper_prob + slack
+    def contains(self, p: float) -> bool:
+        return self.lower_prob <= p <= self.upper_prob
 
 
 class Predictor(ABC):

@@ -83,7 +83,7 @@ _LOG_SLACK = 8.0 * _U
 
 _NO_ORIGINS = range(0)
 _ZERO = np.zeros(1, dtype=np.int64)
-#: a range of fewer origins joins the reset-born block: its numpy calls cost more
+#: a shorter range joins the reset-born block: its tuple step costs less than _range_sums
 _MIN_BLOCK = 64
 #: a reset-born block of at most this many states is held as tuples (README, Numerics)
 _SMALL_BLOCK = 18
@@ -188,9 +188,9 @@ def _matching(origins, ones: np.ndarray, symbol: Symbol) -> np.ndarray:
     return out
 
 
-class ForwardState:
+class ForwardState(NamedTuple):
     """Forward weights after consuming t symbols, for the alive states
-    (all consumed symbols matched) only, in two blocks.
+    (all consumed symbols matched) only, in two blocks; immutable.
 
     ``origins`` (a range or an ascending int32 array) are the never-reset
     block's initial states: at t >= 1 the path from origin j is in state
@@ -205,24 +205,19 @@ class ForwardState:
     ``total`` is the sum of all alive weights; dropped_mass is an absolute
     certified bound on all excluded weight.
 
-    The constructor takes the reset-born block and the total as given.  The
-    properties ``states`` and ``weights`` read all alive states, both blocks,
-    ascending, as int64 and float64 arrays made on each read; no weight is 0.
+    The properties ``states`` and ``weights`` read all alive states, both
+    blocks, ascending, as int64 and float64 arrays made on each read; no
+    weight is 0.
     """
 
-    def __init__(self, t: int, born_states: np.ndarray, born_weights: np.ndarray,
-                 dropped_mass: float, *, total: float, scale_log2: float = 0.0,
-                 roundings: int = 0, origins=_NO_ORIGINS) -> None:
-        # a never-reset weight is at least pi1/(J+t)^2, far above the floors
-        assert scale_log2 == 0.0 or not len(origins)
-        self.t = t
-        self.born_states = born_states
-        self.born_weights = born_weights
-        self.origins = origins
-        self.dropped_mass = dropped_mass
-        self.scale_log2 = scale_log2
-        self.roundings = roundings
-        self.total = total
+    t: int
+    born_states: tuple | np.ndarray
+    born_weights: tuple | np.ndarray
+    dropped_mass: float
+    total: float
+    scale_log2: float = 0.0
+    roundings: int = 0
+    origins: range | np.ndarray = _NO_ORIGINS
 
     @property
     def states(self) -> np.ndarray:
@@ -280,7 +275,7 @@ class Transition(NamedTuple):
 class MuX:
     """The tracking measure for one target sequence at one truncation.
 
-    Immutable once built; marginal and conditional queries are pure.
+    Its tables and shared first steps are caches; queries are pure.
     """
 
     def __init__(self, source: SequenceSource, chain: ChainSpec | None = None) -> None:
@@ -311,8 +306,6 @@ class MuX:
         try:
             emis = self.source.prefix_array(new_cap)
         except SourceExhaustedError:
-            if new_cap == size:
-                raise
             new_cap = size  # finite source: take exactly what the query needs
             emis = self.source.prefix_array(new_cap)
         self._ones = emis.view(bool)
@@ -353,7 +346,7 @@ class MuX:
             new = (self.propagate(self._shared(y)) if step
                    else self.advance(self._shared(()), y[0], self._shared((), True)) if y
                    else self.initial_state())
-            for a in new if step else vars(new).values():
+            for a in new:
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
             self._first[y, step] = new
@@ -486,6 +479,7 @@ class MuX:
             w = w * 2.0**shift
             total *= 2.0**shift
             scale -= shift
+            assert not len(origins)  # a never-reset weight is >= pi1/(J+t)^2
         if isinstance(w, np.ndarray) and len(w) and np.minimum.reduce(w) < _WEIGHT_FLOOR:
             assert not len(origins)
             small = w < _WEIGHT_FLOOR
@@ -565,7 +559,7 @@ class MuX:
         The source must serve every visited state as an index; a finite one
         raises its exhaustion error otherwise.
         """
-        states = sample_path(n, seed, start=None).states
+        states = sample_path(n, seed).states
         # only the first run j0, j0 + 1, ... can climb above n: its states
         # there, lo:hi, are read one by one instead of from a prefix that long
         j0, last, lo, hi = int(states[0]), int(states.max()), 0, 0

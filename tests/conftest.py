@@ -11,7 +11,14 @@ from predlab import (
     PeriodicSource,
     Predictor,
     UniformPredictor,
+    chain,
 )
+
+
+def pin_start(monkeypatch, j0):
+    """Start every sampled path at j0; the pinned draw reads none of the
+    generator's stream."""
+    monkeypatch.setattr(chain, "sample_stationary_state", lambda rng: j0)
 
 
 class MomentumPredictor(Predictor):

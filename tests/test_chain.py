@@ -20,6 +20,8 @@ from predlab import (
 from predlab import chain
 from predlab.chain import sample_stationary_state
 
+from conftest import pin_start
+
 PI_SQ_OVER_6 = math.pi**2 / 6.0
 
 
@@ -164,8 +166,17 @@ def test_tail_mass_bound():
 # ---------------------------------------------------------------------------
 
 
-def test_sample_path_single_step_fixed_start():
-    path = sample_path(1, seed=0, start=1)
+def sampled_from(monkeypatch, n, seed, start):
+    """sample_path(n, seed).states, started at ``start`` (None: drawn)."""
+    with monkeypatch.context() as m:
+        if start is not None:
+            pin_start(m, start)
+        return sample_path(n, seed).states
+
+
+def test_sample_path_single_step_fixed_start(monkeypatch):
+    pin_start(monkeypatch, 1)
+    path = sample_path(1, seed=0)
     assert list(path.states) == [1]
 
 
@@ -175,7 +186,7 @@ def test_sample_path_deterministic():
     assert np.array_equal(a.states, b.states)
 
 
-# SHA-256 of sample_path(2e5, seed, start).states, as int64 bytes
+# SHA-256 of sample_path(2e5, seed).states started at ``start`` (None: drawn), as int64 bytes
 SAMPLE_PATH_SHA256 = {
     (1, None): "909a070365a59009ddf14a46a4ccf924f300b14bb0f981256f281071a94925d9",
     (2, None): "5b6314d9d718ae7eef3a977445bedbfadd9f691635a0237e0f65d746b54bea0e",
@@ -186,19 +197,11 @@ SAMPLE_PATH_SHA256 = {
 
 
 @pytest.mark.parametrize("seed, start", sorted(SAMPLE_PATH_SHA256, key=str))
-def test_sample_path_is_pinned(seed, start):
-    states = sample_path(200_000, seed, start).states
+def test_sample_path_is_pinned(monkeypatch, seed, start):
+    states = sampled_from(monkeypatch, 200_000, seed, start)
     assert states.dtype == np.int64
     digest = hashlib.sha256(states.tobytes()).hexdigest()
     assert digest == SAMPLE_PATH_SHA256[seed, start]
-
-
-def test_sample_path_refuses_starts_int64_cannot_hold():
-    for start in (2**63 - 9, 2**63, 2**64):
-        with pytest.raises(ValueError, match="2\\*\\*63 - n"):
-            sample_path(10, 1, start=start)
-    states = sample_path(10, 1, start=2**63 - 10).states
-    assert states[0] == 2**63 - 10 and (states >= 1).all()
 
 
 # seed 1074's stationary first run lasts 66,903 steps, longer than every n below
@@ -208,10 +211,10 @@ def test_sample_path_does_not_depend_on_the_block_size(monkeypatch, block, B):
              for n in sorted({1, B - 1, B, B + 1, 3 * B + 5} - {0})
              for seed in (3, 1074)
              for start in (None, 1, 7, 2**40)]
-    expect = [sample_path(*case).states for case in cases]
+    expect = [sampled_from(monkeypatch, *case) for case in cases]
     monkeypatch.setattr(chain, "_BLOCK", block)
     for case, states in zip(cases, expect):
-        assert np.array_equal(sample_path(*case).states, states), case
+        assert np.array_equal(sampled_from(monkeypatch, *case), states), case
 
 
 def test_sample_path_allocates_nothing_path_sized_but_the_path():
@@ -235,15 +238,17 @@ def test_state1_frequency_matches_stationary_weight():
     assert freq == pytest.approx(PI1, abs=0.01)
 
 
-def test_empirical_mean_return_time():
-    path = sample_path(10**6, seed=11, start=1)
+def test_empirical_mean_return_time(monkeypatch):
+    pin_start(monkeypatch, 1)
+    path = sample_path(10**6, seed=11)
     hits = np.flatnonzero(path.states == 1)
     gaps = np.diff(hits)
     assert float(np.mean(gaps)) == pytest.approx(PI_SQ_OVER_6, abs=0.01)
 
 
-def test_transition_frequencies_binomial():
-    path = sample_path(5 * 10**5, seed=3, start=1)
+def test_transition_frequencies_binomial(monkeypatch):
+    pin_start(monkeypatch, 1)
+    path = sample_path(5 * 10**5, seed=3)
     s = path.states
     for j in (1, 2, 3):
         at_j = s[:-1] == j
@@ -272,10 +277,11 @@ def test_stationary_state_exact_law():
         _assert_binomial(draws > m, tail)
 
 
-def test_first_run_exact_law():
+def test_first_run_exact_law(monkeypatch):
     # from state 7 the chain makes at least k more up-moves with probability
     # prod_{j=7}^{6+k} p_j = 49/(7+k)^2
+    pin_start(monkeypatch, 7)
     seeds = np.random.SeedSequence(5).generate_state(10_000)
-    paths = np.array([sample_path(11, int(s), start=7).states for s in seeds])
+    paths = np.array([sample_path(11, int(s)).states for s in seeds])
     for k in (1, 3, 10):
         _assert_binomial(paths[:, k] == 7 + k, 49.0 / (7 + k) ** 2)

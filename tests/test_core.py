@@ -11,18 +11,27 @@ import predlab
 from predlab import (
     IMPOSSIBLE,
     AdversarialSource,
+    ChainSpec,
     ChampernowneSource,
     CoinFlipSource,
     DiracPredictor,
     FileSource,
+    FiniteOrderMixture,
     KTPredictor,
     LogInterval,
+    LossTrace,
     PeriodicSource,
     SourceExhaustedError,
+    adversarial_sequence,
+    chain_info,
     format_bits,
     log2_sum,
+    mean_return_time,
     parse_bits,
     prob,
+    return_prob_partial_sum,
+    sample_path,
+    stationarity_window_check,
 )
 
 words = st.lists(st.integers(0, 1), max_size=40).map(tuple)
@@ -212,6 +221,35 @@ def test_prefix_array_rejects_negative_length(kind, tmp_path):
     with pytest.raises(ValueError, match="prefix length"):
         src.prefix_array(-1)
     assert len(src.prefix_array(0)) == 0
+
+
+def _symbol_at_zero(kind):
+    return lambda tmp_path: _source(kind, tmp_path).symbol_at(0)
+
+
+EDGE_INPUTS = [
+    pytest.param(lambda _: PeriodicSource(""), "pattern must be nonempty", id="empty-pattern"),
+    *(pytest.param(_symbol_at_zero(kind), "t must be >= 1", id=f"{kind}-symbol_at-0")
+      for kind in SOURCE_KINDS),
+    pytest.param(lambda _: adversarial_sequence(KTPredictor(), 0), "horizon",
+                 id="adversarial-horizon-0"),
+    pytest.param(lambda _: FiniteOrderMixture(-1), "max_order", id="mixture-order-minus-1"),
+    pytest.param(lambda _: return_prob_partial_sum(0), "N must be >= 1", id="partial-sum-0"),
+    pytest.param(lambda _: mean_return_time(0), "N must be >= 1", id="mean-return-time-0"),
+    pytest.param(lambda _: ChainSpec(0), "truncation_level", id="chain-spec-0"),
+    pytest.param(lambda _: sample_path(0, 1), "path length", id="sample-path-0"),
+    pytest.param(lambda _: chain_info(0, 1), "max_n and trunc", id="chain-info-0"),
+    pytest.param(lambda _: LossTrace(np.zeros(3), np.zeros(2), np.zeros(3)), "equal length",
+                 id="loss-trace-ragged"),
+    pytest.param(lambda _: stationarity_window_check(np.zeros(200, np.uint8), 1, 0, 50),
+                 "start and stride", id="window-before-position-1"),
+]
+
+
+@pytest.mark.parametrize("call, message", EDGE_INPUTS)
+def test_edge_inputs_are_refused(call, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
 
 
 @pytest.mark.parametrize("kind", SOURCE_KINDS)
