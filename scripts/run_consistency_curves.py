@@ -39,6 +39,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/consistency")
     parser.add_argument("-n", type=int, default=500)
-    parser.add_argument("--trunc", type=int, default=10_000)
+    parser.add_argument("--trunc", type=int, default=ChainSpec.truncation_level)
     args = parser.parse_args()
     run(Path(args.out), args.n, args.trunc)

@@ -12,6 +12,7 @@ import sys
 import time
 from pathlib import Path
 
+from predlab import ChainSpec
 from predlab.cli import main as cli_main
 
 BATTERY = ["uniform", "kt", "mix:3", "mux:periodic:01"]
@@ -38,6 +39,6 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/theorem1")
     parser.add_argument("-n", type=int, default=500)
-    parser.add_argument("--trunc", type=int, default=10_000)
+    parser.add_argument("--trunc", type=int, default=ChainSpec.truncation_level)
     args = parser.parse_args()
     sys.exit(1 if run(Path(args.out), args.n, args.trunc) else 0)

@@ -42,9 +42,7 @@ from .core import (
     Symbol,
     Word,
     format_bits,
-    log2_sum,
     parse_bits,
-    prob,
 )
 from .loss import (
     LossTrace,

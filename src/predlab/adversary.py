@@ -77,7 +77,6 @@ def adversarial_sequence(rho: Predictor, n: int) -> np.ndarray:
 class AdversarialRun:
     """Artifacts of one head-to-head run against a target predictor."""
 
-    predictor_spec: str
     sequence: np.ndarray          # x_{1..n}
     rho_trace: LossTrace          # target predictor scored on x
     mux_trace: LossTrace          # tracking measure of x scored on x
@@ -89,7 +88,7 @@ class AdversarialRun:
 def theorem1_experiment(
     rho: Predictor,
     n: int,
-    trunc: int = 10_000,
+    trunc: int = ChainSpec.truncation_level,
     predictor_spec: str = "custom",
 ) -> AdversarialRun:
     """Build the sequence against rho, score rho on it, and score the
@@ -119,7 +118,6 @@ def theorem1_experiment(
     t = np.arange(1, n + 1, dtype=np.float64)
     bound = log_loss_bound(t) / t
     return AdversarialRun(
-        predictor_spec=predictor_spec,
         sequence=x,
         rho_trace=rho_trace,
         mux_trace=mux_trace,

@@ -1,5 +1,6 @@
 """Command-line orchestration: chain tables, measure queries, loss runs,
-adversarial head-to-heads, and ergodicity checks.
+adversarial head-to-heads, and ergodicity checks.  Every file a command
+writes goes through ``loss.write_artifact``.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric-budget failure
 (an enclosure wider than the requested budget).
@@ -19,8 +20,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import adversary, chain, loss
 from .baselines import FiniteOrderMixture, KTPredictor, UniformPredictor
@@ -63,7 +62,7 @@ def parse_source_spec(spec: str) -> SequenceSource:
     raise ValueError(f"unknown source spec {spec!r}")
 
 
-def parse_predictor_spec(spec: str, trunc: int = 10_000) -> Predictor:
+def parse_predictor_spec(spec: str, trunc: int = ChainSpec.truncation_level) -> Predictor:
     kind, _, rest = spec.partition(":")
     if kind == "uniform" and not rest:
         return UniformPredictor()
@@ -92,29 +91,28 @@ class ExperimentConfig:
 
 
 def _jsonable(obj):
-    """JSON-safe copy: non-finite floats become strings."""
+    """JSON-safe copy: infinite floats become "inf" and "-inf".  A numpy
+    float is a ``float``, which ``json`` writes with ``float.__repr__``."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        if math.isnan(f):
-            return "nan"
-        return f
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
     return obj
 
 
 def _dump_json(payload: dict, path: Path | None) -> str:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        loss.write_artifact(path, text)
     return text
+
+
+def _check_budget(what: str, width: float, budget: float | None) -> None:
+    """Enforce a ``--max-width`` budget, if one was given."""
+    if budget is not None and width > budget:
+        raise NumericBudgetError(f"{what} {width:g} exceeds budget {budget:g}")
 
 
 def _cmd_chain_info(args) -> int:
@@ -132,10 +130,7 @@ def _cmd_mux_marginal(args) -> int:
     source = parse_source_spec(args.target)
     mux = MuX(source, ChainSpec(args.trunc))
     interval = mux.marginal(parse_bits(args.query))
-    if args.max_width is not None and interval.width > args.max_width:
-        raise NumericBudgetError(
-            f"enclosure width {interval.width:g} exceeds budget {args.max_width:g}"
-        )
+    _check_budget("enclosure width", interval.width, args.max_width)
     payload = {
         "config": asdict(cfg),
         "query": args.query,
@@ -152,9 +147,7 @@ def _cmd_mux_sample(args) -> int:
     bits = format_bits(MuX(parse_source_spec(args.target)).sample_trajectory(args.n, args.seed))
     sys.stdout.write(bits + "\n")
     if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(bits + "\n", encoding="utf-8")
+        loss.write_artifact(args.out, bits + "\n")
     return EXIT_OK
 
 
@@ -185,15 +178,9 @@ def _cmd_theorem1(args) -> int:
     rho = parse_predictor_spec(args.rho, trunc=args.trunc)
     run = adversary.theorem1_experiment(rho, args.n, trunc=args.trunc,
                                         predictor_spec=args.rho)
-    if args.max_width is not None and float(run.mux_widths.max()) > args.max_width:
-        raise NumericBudgetError(
-            f"max conditional enclosure width {run.mux_widths.max():g} exceeds "
-            f"budget {args.max_width:g}"
-        )
+    _check_budget("max conditional enclosure width", run.mux_widths.max(), args.max_width)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "x.txt").write_text(format_bits(run.sequence) + "\n",
-                                   encoding="utf-8")
+    loss.write_artifact(out_dir / "x.txt", format_bits(run.sequence) + "\n")
     rho_cesaro = run.rho_trace.to_csv(out_dir / "rho_trace.csv")
     mux_cesaro = run.mux_trace.to_csv(out_dir / "mux_trace.csv")
     loss.write_tidy_csv(out_dir / "tidy.csv", {
@@ -270,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_marg = mux_sub.add_parser("marginal", help="certified word marginal")
     p_marg.add_argument("--target", required=True)
     p_marg.add_argument("--query", required=True)
-    p_marg.add_argument("--trunc", type=int, default=10_000)
+    p_marg.add_argument("--trunc", type=int, default=ChainSpec.truncation_level)
     p_marg.add_argument("--max-width", type=_width_budget, default=None)
     p_marg.add_argument("--out", default=None)
     p_marg.set_defaults(func=_cmd_mux_marginal)
@@ -285,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--rho", required=True)
     p_loss.add_argument("--target", required=True)
     p_loss.add_argument("-n", type=int, required=True)
-    p_loss.add_argument("--trunc", type=int, default=10_000)
+    p_loss.add_argument("--trunc", type=int, default=ChainSpec.truncation_level)
     p_loss.add_argument("--out", required=True)
     p_loss.set_defaults(func=_cmd_loss)
 
@@ -293,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="adversarial sequence vs tracking measure")
     p_thm.add_argument("--rho", required=True)
     p_thm.add_argument("-n", type=int, required=True)
-    p_thm.add_argument("--trunc", type=int, default=10_000)
+    p_thm.add_argument("--trunc", type=int, default=ChainSpec.truncation_level)
     p_thm.add_argument("--max-width", type=_width_budget, default=None)
     p_thm.add_argument("--out", required=True)
     p_thm.set_defaults(func=_cmd_theorem1)

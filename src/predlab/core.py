@@ -1,5 +1,5 @@
-"""Binary alphabet, log2-probability plumbing, the predictor contract, and
-deterministic sequence sources.
+"""Binary alphabet, certified enclosures of probabilities in log2 space, the
+predictor contract, and deterministic sequence sources.
 
 Conventions used throughout the package:
 
@@ -58,16 +58,6 @@ def format_bits(word) -> str:
     return "".join("1" if s else "0" for s in word)
 
 
-def prob(log2_p: float) -> float:
-    """log2 -> probability (exp2); IMPOSSIBLE maps to 0."""
-    return float(np.exp2(log2_p))
-
-
-def log2_sum(a: float, b: float) -> float:
-    """log2(2^a + 2^b); IMPOSSIBLE acts as the identity."""
-    return float(np.logaddexp2(a, b))
-
-
 @dataclass(frozen=True)
 class LogInterval:
     """Certified enclosure [lower, upper] of a probability, in log2 space.
@@ -90,11 +80,11 @@ class LogInterval:
 
     @property
     def lower_prob(self) -> float:
-        return prob(self.lower_log2)
+        return float(np.exp2(self.lower_log2))
 
     @property
     def upper_prob(self) -> float:
-        return prob(self.upper_log2)
+        return float(np.exp2(self.upper_log2))
 
     @property
     def width(self) -> float:

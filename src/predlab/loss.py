@@ -1,8 +1,8 @@
 """Prediction-quality functionals: cumulative log2 (KL) loss along a fixed
 sequence, bounded absolute and squared per-step losses with Cesaro averages,
 word frequencies and window distributions (all read from one window count,
-word length k <= MAX_WINDOW), and the CSV artifacts (all written by one CSV
-writer).
+word length k <= MAX_WINDOW), the CSV artifacts (one CSV writer), and
+``write_artifact``, the one writer of every file the CLI leaves.
 
 A per-step loss of +inf (the predictor assigned probability zero to the
 realized symbol) is recorded as the float inf sentinel; cumulative sums and
@@ -87,12 +87,17 @@ def _write_csv(path, header: list[str], columns) -> None:
     a header, one row per index, in one write.  The bytes are those of
     ``csv.writer`` (excel dialect: "," between fields, "\r\n" after each row),
     since no field needs quoting: floats print as ``str(float)`` = ``repr``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     cells = [map(str, c.tolist()) if isinstance(c, np.ndarray) else c for c in columns]
     lines = [",".join(header), *map(",".join, zip(*cells, strict=True)), ""]
-    with path.open("w", newline="", encoding="utf-8") as f:
-        f.write("\r\n".join(lines))
+    write_artifact(path, "\r\n".join(lines))
+
+
+def write_artifact(path, text: str) -> None:
+    """Write text to path as UTF-8 with its line ends as given, making the
+    parent directory first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def write_tidy_csv(path, series: dict[str, np.ndarray | list[str]]) -> None:

@@ -62,7 +62,6 @@ from .core import (
     SourceExhaustedError,
     Symbol,
     Word,
-    log2_sum,
     validate_symbol,
 )
 
@@ -241,7 +240,7 @@ class ForwardState(NamedTuple):
         lo = _log2_out(self.total * (1.0 - r), False, scale)
         hi = _log2_out(self.total * (1.0 + r), True, scale)
         if d > 0.0:
-            hi = log2_sum(hi, _log2_out(d, True))
+            hi = float(np.logaddexp2(hi, _log2_out(d, True)))
             hi += _LOG_SLACK * (abs(hi) + 1.0)
         hi = min(0.0, hi)
         # the width carries the truncation term only; rounding moves the

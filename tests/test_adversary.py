@@ -94,7 +94,6 @@ def test_theorem1_invariants_for_kt():
         assert float(cum[t - 1]) <= log_loss_bound(t) + 1e-6
     assert (run.mux_widths >= 0.0).all()
     assert (run.mux_widths <= 1.0).all()
-    assert run.predictor_spec == "kt"
 
 
 def test_theorem1_tracking_target_stays_scoreable():

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from predlab import cli
 from predlab.cli import build_parser, main, parse_predictor_spec, parse_source_spec
 from predlab import PI1, MuxPredictor
 from predlab.adversary import theorem1_experiment
@@ -216,6 +218,45 @@ def test_ergodicity_too_short_for_the_window_check(capsys, n):
     for k in lengths:
         assert math.fsum(v for w, v in payload["word_freqs"].items()
                          if len(w) == k) == pytest.approx(1.0, abs=1e-12)
+
+
+def _not_plain_json(obj, where="payload"):
+    """Where obj holds anything but a dict, list, str, bool, None, a Python
+    int or a float other than NaN, and the type found there."""
+    if isinstance(obj, dict):
+        return [bad for k, v in obj.items() for bad in _not_plain_json(v, f"{where}[{k!r}]")]
+    if isinstance(obj, list):
+        return [bad for i, v in enumerate(obj) for bad in _not_plain_json(v, f"{where}[{i}]")]
+    if obj is None or isinstance(obj, (str, bool)):
+        return []
+    if isinstance(obj, int) and not isinstance(obj, np.integer):
+        return []
+    if isinstance(obj, float) and not math.isnan(obj):
+        return []
+    return [(where, type(obj).__name__)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "info"],
+    ["mux", "marginal", "--target", "coin:7", "--query", "0110", "--trunc", "500"],
+    ["mux", "marginal", "--target", "periodic:0", "--query", "01", "--trunc", "500"],
+    ["ergodicity", "--target", "coin:7", "-n", "2000", "--seed", "3"],
+    ["ergodicity", "--target", "periodic:01", "-n", "20", "--seed", "1"],
+    ["loss", "--rho", "dirac:periodic:0", "--target", "periodic:01", "-n", "20",
+     "--out", "{out}"],
+    ["theorem1", "--rho", "dirac:periodic:01", "-n", "20", "--trunc", "200",
+     "--out", "{out}"],
+], ids=["chain-info", "marginal", "marginal-impossible", "ergodicity",
+        "ergodicity-too-short", "loss-dirac-miss", "theorem1-dirac"])
+def test_payloads_hold_only_plain_json_values(tmp_path, capsys, monkeypatch, argv):
+    # _jsonable rewrites only infinite floats: a NaN would be written as the
+    # non-JSON token NaN, and a numpy integer would make json raise TypeError;
+    # the payload is caught before json sees it, so the test names the value
+    payloads = []
+    monkeypatch.setattr(cli, "_dump_json", lambda payload, path: payloads.append(payload) or "")
+    code, _ = run_cli(capsys, *(a.replace("{out}", str(tmp_path / "run")) for a in argv))
+    assert code == 0 and len(payloads) == 1
+    assert _not_plain_json(payloads[0]) == []
 
 
 # SHA-256 of the ergodicity stdout on periodic:011, seed 3, per horizon n

@@ -24,11 +24,10 @@ from predlab import (
     SourceExhaustedError,
     adversarial_sequence,
     chain_info,
+    MuX,
     format_bits,
-    log2_sum,
     mean_return_time,
     parse_bits,
-    prob,
     return_prob_partial_sum,
     sample_path,
     stationarity_window_check,
@@ -71,10 +70,12 @@ def test_parse_bits_rejects_junk():
 
 
 def test_impossible_saturates():
-    # sum with impossible is the identity
-    assert log2_sum(IMPOSSIBLE, -3.0) == -3.0
-    assert log2_sum(-1.0, -1.0) == pytest.approx(0.0, abs=1e-15)
-    assert prob(IMPOSSIBLE) == 0.0
+    assert LogInterval(IMPOSSIBLE, IMPOSSIBLE).upper_prob == 0.0
+    # logaddexp2 with IMPOSSIBLE is the identity: an impossible word's upper
+    # end is log2 of the dropped mass (its width), within the outward slack
+    iv = MuX(PeriodicSource("0"), ChainSpec(10_000)).marginal((1,))
+    assert iv.lower_log2 == IMPOSSIBLE and iv.width > 0.0
+    assert math.log2(iv.width) < iv.upper_log2 <= math.log2(iv.width) + 1e-13
 
 
 def test_log_interval_invariants():

@@ -26,6 +26,7 @@ from predlab.loss import (
     _window_counts,
     trace_from_realized_probs,
     word_counts,
+    write_artifact,
     write_tidy_csv,
 )
 
@@ -198,6 +199,14 @@ def test_tidy_csv_refuses_metric_names_csv_would_quote(tmp_path, name):
     with pytest.raises(ValueError, match="metric names"):
         write_tidy_csv(tmp_path / "tidy.csv", {"ok": np.ones(2), name: np.ones(2)})
     assert not (tmp_path / "tidy.csv").exists()
+
+
+def test_write_artifact_makes_parents_and_keeps_line_ends(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_artifact(path, "x\r\ny\n\u00b5\n")
+    assert path.read_bytes() == b"x\r\ny\n\xc2\xb5\n"
+    write_artifact(str(path), "z\n")  # a str path too, and the file is replaced
+    assert path.read_bytes() == b"z\n"
 
 
 # ---------------------------------------------------------------------------

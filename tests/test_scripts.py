@@ -92,3 +92,18 @@ def test_theorem1_battery_script_reports_failure(tmp_path):
                       "--out", str(tmp_path / "bad"), "-n", "20", "--trunc", "0")
     assert proc.returncode != 0
     assert proc.stdout.count("] exit 2 in ") == 4
+
+
+def test_artifact_digests_do_not_depend_on_the_temporary_path(tmp_path, monkeypatch):
+    # TMPDIR puts the two runs' directories at paths of different lengths
+    outputs = []
+    for name in ("a", "bbbb"):
+        (tmp_path / name).mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp_path / name))
+        proc = run_script("artifact_digests.py")
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert sum(line.startswith("$ predlab ") for line in lines) == 14
+    assert lines.count("  exit 3") == 1 and str(tmp_path) not in outputs[0]
