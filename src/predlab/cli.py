@@ -117,7 +117,7 @@ def _check_budget(what: str, width: float, budget: float | None) -> None:
 
 def _cmd_chain_info(args) -> int:
     cfg = ExperimentConfig(command="chain info", horizon=args.max_n,
-                           trunc=args.trunc)
+                           trunc=args.trunc, out_dir=args.out)
     info = chain.chain_info(args.max_n, args.trunc)
     info["config"] = asdict(cfg)
     sys.stdout.write(_dump_json(info, Path(args.out) if args.out else None))
@@ -126,7 +126,7 @@ def _cmd_chain_info(args) -> int:
 
 def _cmd_mux_marginal(args) -> int:
     cfg = ExperimentConfig(command="mux marginal", source_spec=args.target,
-                           trunc=args.trunc)
+                           trunc=args.trunc, out_dir=args.out)
     source = parse_source_spec(args.target)
     mux = MuX(source, ChainSpec(args.trunc))
     interval = mux.marginal(parse_bits(args.query))
@@ -205,7 +205,7 @@ def _cmd_theorem1(args) -> int:
 
 def _cmd_ergodicity(args) -> int:
     cfg = ExperimentConfig(command="ergodicity", source_spec=args.target,
-                           horizon=args.n, seed=args.seed)
+                           horizon=args.n, seed=args.seed, out_dir=args.out)
     traj = MuX(parse_source_spec(args.target)).sample_trajectory(args.n, args.seed)
     word_freqs = {}
     for k, counts in enumerate(loss.word_counts(traj, 3)[:args.n], 1):  # k <= n

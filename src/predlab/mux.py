@@ -13,9 +13,9 @@ pi1/j^2 * prod_{i=j}^{m-1} i^2/(i+1)^2 = pi1/m^2, so the *never-reset block*
 stores only its origins, the initial states that still match.  While they
 are evenly spaced with stride s they are a range, whose states at one step
 are one run of one residue class mod s: its sums come in closed form, in
-O(1) (``_class_sums``), and an int32 count per class tells whether the run
-splits by emission (``MuX._class_counts``).  Otherwise (a split or an index
-array) they are formed on the fly in chunks of _CHUNK states, in O(block).
+O(1) (``_class_sums``), and its class's change rows, none if it repeats one
+symbol, tell whether it splits (``MuX._change_rows``).  Otherwise (a split
+or an index array) they are formed on the fly, _CHUNK at a time, in O(block).
 The *reset-born block*, the states below t, keeps explicit weights: up to
 _SMALL_BLOCK states as tuples, stepped term by term in Python floats, and as
 int64 and float64 arrays above.  A never-reset block joins it as a range of
@@ -23,7 +23,7 @@ fewer than _MIN_BLOCK origins or an index array of at most _CHUNK; a longer
 index array stays a block: its int32 origins, formed _CHUNK at a time, take
 less memory than explicit weights.  Both blocks split their sums by emission,
 as dots against the 0/1 emission mask or term by term.  States stay at most
-_MAX_STATE = 2^31 - 1, the int32 limit of the class counts and the origins.
+_MAX_STATE = 2^31 - 1, the int32 limit of the change rows and the origins.
 
 ``dropped_mass`` certifies the weight left out: the tail pi1/J, plus
 weights too small to multiply without underflow.  Each weight counts the
@@ -90,7 +90,7 @@ _SMALL_BLOCK = 18
 #: arrays of origins are formed this many states at a time; an index array of
 #: at most this many origins joins the reset-born block, a longer one stays int32
 _CHUNK = 1 << 15
-_MAX_STATE = int(np.iinfo(np.int32).max)  # the largest state: int32 counts and origins
+_MAX_STATE = int(np.iinfo(np.int32).max)  # the largest state: int32 change rows and origins
 #: B_14, B_12, ..., B_2: the Euler-Maclaurin corrections of _class_sums
 _BERNOULLI = (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)
 #: roundings of a range's sums: _class_sums' 11 + 16, then pi1 times a sum
@@ -164,14 +164,15 @@ def _log2_out(x: float, up: bool, scale: float = 0.0) -> float:
     return v + slack if up else v - slack
 
 
-def _as_range(origins: np.ndarray):
-    """Evenly spaced origins as a range, others unchanged; O(len), or O(1) by the ends."""
-    if not len(origins):
+def _as_range(o: np.ndarray):
+    """Evenly spaced origins as a range, others unchanged; O(1) by the ends, or O(len) by chunks."""
+    if not len(o):
         return _NO_ORIGINS
-    step = int(origins[1] - origins[0]) if len(origins) > 1 else 1
-    if origins[-1] - origins[0] == step * (len(origins) - 1) and (np.diff(origins) == step).all():
-        return range(int(origins[0]), int(origins[-1]) + 1, step)
-    return origins
+    step = int(o[1] - o[0]) if len(o) > 1 else 1
+    if o[-1] - o[0] == step * (len(o) - 1) and all(
+            (np.diff(o[i:i + _CHUNK + 1]) == step).all() for i in range(0, len(o) - 1, _CHUNK)):
+        return range(int(o[0]), int(o[-1]) + 1, step)
+    return o
 
 
 def _matching(origins, ones: np.ndarray, symbol: Symbol) -> np.ndarray:
@@ -283,8 +284,8 @@ class MuX:
         self._cap = 0
         # _ones[i]: does state i+1 emit 1
         self._ones = np.empty(0, dtype=bool)
-        # stride -> its class counts at the current capacity (_class_counts)
-        self._classes: dict[int, np.ndarray] = {}
+        # stride -> its classes' change rows at the current capacity (_change_rows)
+        self._classes: dict[int, list[np.ndarray]] = {}
         # (y, step) -> _shared(y, step): the first steps every past shares
         self._first: dict[tuple, ForwardState | Transition] = {}
 
@@ -293,7 +294,7 @@ class MuX:
     def _ensure_tables(self, size: int) -> None:
         """The emission table for states 1..size <= _MAX_STATE; the source must serve
         indices up to size or this raises its exhaustion error.  Growing it drops
-        the class counts, rebuilt on their next use.  It grows by an eighth (up to
+        the change rows, rebuilt on their next use.  It grows by an eighth (up to
         _MAX_STATE), so those O(capacity) rebuilds cost O(1) per state amortised,
         and the source serves at most about an eighth more symbols than the frontier reads."""
         if size <= self._cap:
@@ -311,18 +312,22 @@ class MuX:
         self._classes = {}
         self._cap = new_cap
 
-    def _class_counts(self, s: int) -> np.ndarray:
-        """The stride-s class counts, built on first use at this capacity.
-
-        State index c = q s + r (state c + 1 emits _ones[c]) is row q of
-        column r: a stride-s range reads rows q .. q + n - 1 of one column,
-        and ``counts[q, r]`` counts the ones above row q."""
-        counts = self._classes.get(s)
-        if counts is None:
-            counts = np.zeros((-(-self._cap // s) + 1, s), dtype=np.int32)
-            counts.reshape(-1)[s:s + self._cap] = self._ones  # one row down
-            counts = self._classes[s] = np.cumsum(counts, axis=0, out=counts)
-        return counts
+    def _change_rows(self, s: int) -> list[np.ndarray]:
+        """The stride-s change rows, built on first use at this capacity: state
+        index c = q s + r (state c + 1 emits _ones[c]) is row q of class r, and
+        ``rows[r]`` holds each q whose emission differs from row q + 1's, in int32:
+        0 bytes if r repeats one symbol, at most 4 a row.  A class is counted, then
+        formed, by np.diff of _CHUNK + 1 rows at a time: no other temporary grows with it."""
+        if s not in self._classes:
+            rows = []
+            for col in (self._ones[r::s] for r in range(s)):  # a view of class r
+                runs = [(i, col[i:i + _CHUNK + 1]) for i in range(0, len(col) - 1, _CHUNK)]
+                ends = np.cumsum([0] + [np.count_nonzero(np.diff(v)) for _, v in runs])
+                rows.append(np.empty(ends[-1], np.int32))
+                for (i, v), a, b in zip(runs, ends, ends[1:]):
+                    rows[-1][a:b] = np.flatnonzero(np.diff(v)) + i
+            self._classes[s] = rows  # only once whole
+        return self._classes[s]
 
     # -- forward recursion --------------------------------------------------
 
@@ -413,23 +418,23 @@ class MuX:
     # origin_ones, common, roundings).
 
     def _range_sums(self, o: range, t: int) -> tuple | None:
-        """The block's sums in closed form, or None if the range splits."""
-        s, n = o.step, len(o)
-        q, r = divmod(o.start + t - 1, s)
-        counts = self._class_counts(s)
-        k = counts.item(q + n, r) - counts.item(q, r)  # a split reads every origin anyway
-        if 0 < k < n:
+        """The block's sums in closed form, or None if a change row splits its rows."""
+        s, n, c = o.step, len(o), o.start + t - 1
+        q, r = divmod(c, s)
+        rows = self._change_rows(s)[r]
+        i = rows.searchsorted(np.int32(q)) if len(rows) else 0  # an int would cast every row
+        if i < len(rows) and rows.item(i) < q + n - 1:
             return None
-        b, reset = _class_sums(o.start + t - 1, s, n)
+        k = self._ones.item(c)  # the symbol every next state emits
+        b, reset = _class_sums(c, s, n)
         b *= PI1
-        return (PI1 * reset, 0.0 if k else b, b if k else 0.0, None, int(k > 0),
-                _RANGE_ROUNDINGS)
+        return (PI1 * reset, 0.0 if k else b, b if k else 0.0, None, int(k), _RANGE_ROUNDINGS)
 
     def _direct_sums(self, o, t: int) -> tuple:
         """The block's sums over every origin, in O(len(o)), with weights
         formed _CHUNK at a time."""
-        emits = self._ones[slice(o.start + t - 1, o.stop + t - 1, o.step)
-                           if isinstance(o, range) else o + (t - 1)]
+        emits = (self._ones[o.start + t - 1:o.stop + t - 1:o.step] if isinstance(o, range)
+                 else self._ones[t - 1:][o])  # an index array exists only from t = 1 on
         k = np.count_nonzero(emits)
         inflow = b0 = b1 = 0.0
         for i in range(0, len(o), _CHUNK):

@@ -259,6 +259,21 @@ def test_payloads_hold_only_plain_json_values(tmp_path, capsys, monkeypatch, arg
     assert _not_plain_json(payloads[0]) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["chain", "info", "--max-n", "3", "--trunc", "100"],
+    ["mux", "marginal", "--target", "periodic:01", "--query", "01", "--trunc", "100"],
+    ["ergodicity", "--target", "periodic:01", "-n", "20", "--seed", "1"],
+], ids=["chain-info", "marginal", "ergodicity"])
+def test_out_file_records_its_own_path(tmp_path, capsys, argv):
+    # the config in a file written by --out names that file; without --out it is null
+    path = tmp_path / "nested" / "run.json"
+    code, out = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and path.read_text() == out
+    assert json.loads(out)["config"]["out_dir"] == str(path)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["config"]["out_dir"] is None
+
+
 # SHA-256 of the ergodicity stdout on periodic:011, seed 3, per horizon n
 ERGODICITY_STDOUT_SHA256 = {
     1: "d0e5580b081a0ce222918ea0bbe5d1b12ff2decb1fd24ca9c1becbefe6f6b341",

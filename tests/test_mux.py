@@ -978,7 +978,7 @@ def test_forward_state_blocks_match_dense_recursion(monkeypatch):
 def test_range_steps_that_do_not_split_take_the_closed_form(monkeypatch, pattern):
     # periodic:0 keeps a stride-1 range and periodic:01 a stride-2 one; the
     # 100 steps cross the capacity growth at J + 64, which rebuilds the
-    # class counts
+    # change rows
     direct, fallbacks = MuX._direct_sums, []
 
     def counted(self, o, t):
@@ -996,6 +996,40 @@ def test_range_steps_that_do_not_split_take_the_closed_form(monkeypatch, pattern
     assert isinstance(state.origins, range) and state.origins.step == len(pattern)
     assert mux._cap > 100_000 + 64
     assert fallbacks == []
+
+
+@pytest.mark.parametrize("pattern", ["0", "01"])
+def test_change_rows_of_a_periodic_target_stay_empty_across_growth(pattern):
+    # every class of periodic:0 at stride 1 and of periodic:01 at stride 2
+    # repeats one symbol, so the table holds no row at either capacity of the
+    # 100 steps, before the growth at J + 64 and after its rebuild
+    src = PeriodicSource(pattern)
+    mux = MuX(src, ChainSpec(100_000))
+    state, built_at = mux.initial_state(), set()
+    for s in src.prefix_array(100):
+        state = mux.advance(state, int(s), mux.propagate(state))
+        for stride, rows in mux._classes.items():
+            assert stride == len(pattern) and len(rows) == stride
+            assert sum(map(len, rows)) == 0
+            built_at.add(mux._cap)
+    assert len(built_at) == 2 and max(built_at) > 100_000 + 64
+
+
+def test_change_rows_hold_at_most_one_int32_per_row():
+    # on coin:2 about every other row changes: a class of m rows holds at
+    # most m - 1 of them, each an int32; at stride 1 the class is longer
+    # than _CHUNK, whose rows are formed a chunk at a time.  A table growth
+    # drops the rows, which the next use rebuilds over the new capacity
+    mux = MuX(CoinFlipSource(2), ChainSpec(40_000))
+    mux.initial_state()
+    assert mux._cap > mux_module._CHUNK
+    for size in (mux._cap, mux._cap + 1):
+        mux._ensure_tables(size)
+        for stride in range(1, 9):
+            for r, rows in enumerate(mux._change_rows(stride)):
+                col = mux._ones[r::stride]
+                assert rows.dtype == np.int32 and 0 < len(rows) <= len(col) - 1
+                assert np.array_equal(rows, np.flatnonzero(col[:-1] != col[1:]))
 
 
 def test_initial_total_is_summed_once_per_mux(monkeypatch):
@@ -1058,19 +1092,28 @@ class _FiniteSource(SequenceSource):
     lambda: MuX(_FiniteSource(CoinFlipSource(3), 213), ChainSpec(203))],
     ids=["infinite", "finite"])
 def test_class_tables_match_fsum(stride, make):
-    # the class counts against the emissions, and the closed-form sums of
-    # runs of each class (from state index 1 on) against fsum of their terms
+    # the change rows against the emissions, the split decision of every run
+    # of each class (from state index 1 on) against a count of its ones, and
+    # the closed-form sums of such runs against fsum of their terms
     mux = make()
     mux.initial_state()
     cap = mux._cap
     assert cap % stride or stride == 1
     x = mux.source.prefix_array(cap)
-    counts = mux._class_counts(stride)
-    rows = len(counts) - 1
+    rows = mux._change_rows(stride)
+    assert len(rows) == stride
     for r in range(stride):
         cs = list(range(r, cap, stride))  # state indices c of class r
-        for q in range(rows + 1):
-            assert counts[q, r] == int(x[cs[:q]].sum())
+        col = x[cs].tolist()
+        assert rows[r].dtype == np.int32
+        assert rows[r].tolist() == [q for q in range(len(cs) - 1) if col[q] != col[q + 1]]
+        for q in range(1 if r == 0 else 0, len(cs)):
+            for n in range(1, len(cs) - q + 1):
+                # origins c, c + s, ... at t = 1 are next in states c + 1, ...
+                sums = mux._range_sums(range(cs[q], cs[q] + n * stride, stride), 1)
+                k = sum(col[q:q + n])
+                assert (sums is None) == (0 < k < n)
+                assert sums is None or sums[4] == int(k > 0)
         for q in range(1 if r == 0 else 0, len(cs)):
             for n in {1, 2, 17, len(cs) - q}:
                 run = cs[q:q + n]
@@ -1309,6 +1352,24 @@ def test_evenly_spaced_origins_become_a_range(values):
     got = _as_range(origins)
     assert isinstance(got, range) == (len(origins) < 3 or len(set(np.diff(origins))) == 1)
     assert list(got) == origins.tolist()
+
+
+@pytest.mark.parametrize("length", [mux_module._CHUNK - 1, mux_module._CHUNK,
+                                    mux_module._CHUNK + 1, 2 * mux_module._CHUNK + 1])
+def test_spacing_is_checked_across_chunk_edges(length):
+    # the spacing is checked in chunks of _CHUNK + 1 entries, each overlapping
+    # the last by one; a break at a chunk edge with the ends intact is caught:
+    # one entry moved, or _CHUNK entries from the edge shifted by one, which
+    # breaks only the spacings on either side of them
+    C = mux_module._CHUNK
+    origins = np.arange(5, 5 + 3 * length, 3, dtype=np.int32)
+    assert _as_range(origins) == range(5, 5 + 3 * length, 3)
+    for e in (C - 1, C, C + 1):
+        for end in (e + 1, e + C):
+            if end < length:  # the last entry stays, and so do the ends
+                moved = origins.copy()
+                moved[e:end] += 1
+                assert _as_range(moved) is moved
 
 
 @pytest.mark.parametrize("length", [0, 1, mux_module._CHUNK - 1, mux_module._CHUNK,
