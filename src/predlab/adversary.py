@@ -18,7 +18,7 @@ import numpy as np
 
 from .chain import ChainSpec
 from .core import Predictor, SequenceSource, Symbol
-from .loss import LossTrace, trace_from_realized_probs
+from .loss import LossTrace, dirac_kl, trace_from_realized_probs
 from .mux import MuX, log_loss_bound
 
 
@@ -81,7 +81,7 @@ class AdversarialRun:
     rho_trace: LossTrace          # target predictor scored on x
     mux_trace: LossTrace          # tracking measure of x scored on x
     bound_per_step: np.ndarray    # log_loss_bound(t) / t for t = 1..n
-    mux_widths: np.ndarray        # conditional enclosure widths, logged
+    max_mux_width: float          # largest conditional enclosure width while scored
     symbols_built: int            # symbols the adversary extended to
 
 
@@ -96,24 +96,16 @@ def theorem1_experiment(
 
     The run realizes both halves of the demonstration: rho's per-step loss is
     >= 1 bit by construction, while the tracking measure's cumulative loss
-    stays under log_loss_bound(t) for every horizon t.
+    stays under log_loss_bound(t) for every horizon t.  The tracking measure
+    is scored by ``dirac_kl``, which leaves its largest enclosure width on it.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
     source = AdversarialSource(rho, spec=f"adversarial({predictor_spec})")
     x = source.prefix_array(n)
-    rho_probs = source.picked_probs(n)
-    rho_trace = trace_from_realized_probs(rho_probs)
-
-    mux = MuX(source, ChainSpec(trunc))
-    pred = mux.predictor()
-    mux_probs, widths = [], []
-    for s in x.tolist():
-        p0, p1 = pred.predict()
-        widths.append(pred.last_interval_width)
-        mux_probs.append(p1 if s else p0)
-        pred.observe(s)
-    mux_trace = trace_from_realized_probs(mux_probs)
+    rho_trace = trace_from_realized_probs(source.picked_probs(n))
+    pred = MuX(source, ChainSpec(trunc)).predictor()
+    mux_trace = dirac_kl(source, pred, n)
 
     t = np.arange(1, n + 1, dtype=np.float64)
     bound = log_loss_bound(t) / t
@@ -122,6 +114,6 @@ def theorem1_experiment(
         rho_trace=rho_trace,
         mux_trace=mux_trace,
         bound_per_step=bound,
-        mux_widths=np.array(widths),
+        max_mux_width=pred.max_interval_width,
         symbols_built=len(source._symbols),
     )

@@ -178,7 +178,7 @@ def _cmd_theorem1(args) -> int:
     rho = parse_predictor_spec(args.rho, trunc=args.trunc)
     run = adversary.theorem1_experiment(rho, args.n, trunc=args.trunc,
                                         predictor_spec=args.rho)
-    _check_budget("max conditional enclosure width", run.mux_widths.max(), args.max_width)
+    _check_budget("max conditional enclosure width", run.max_mux_width, args.max_width)
     out_dir = Path(args.out)
     loss.write_artifact(out_dir / "x.txt", format_bits(run.sequence) + "\n")
     rho_cesaro = run.rho_trace.to_csv(out_dir / "rho_trace.csv")
@@ -196,7 +196,7 @@ def _cmd_theorem1(args) -> int:
         "per_step_min_rho_loss": float(run.rho_trace.kl_bits.min()),
         "mux_cumulative_bits": float(run.mux_trace.cum_kl_bits[-1]),
         "mux_cumulative_bound": log_loss_bound(args.n),
-        "max_mux_width": float(run.mux_widths.max()),
+        "max_mux_width": run.max_mux_width,
         "adversary_symbols_built": run.symbols_built,
     }
     sys.stdout.write(_dump_json(summary, out_dir / "summary.json"))

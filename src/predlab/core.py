@@ -177,7 +177,7 @@ class PeriodicSource(SequenceSource):
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         base = np.asarray(self.pattern, dtype=np.uint8)
-        return np.tile(base, -(-n // len(base)))[:n].copy()
+        return np.tile(base, -(-n // len(base)))[:n]  # a new array per call
 
 
 class ChampernowneSource(SequenceSource):

@@ -128,23 +128,23 @@ def trace_from_realized_probs(probs) -> LossTrace:
 
 
 def dirac_kl(x: SequenceSource, rho: Predictor, n: int) -> LossTrace:
-    """Cumulative KL loss of rho on the deterministic sequence x.
+    """Cumulative KL loss of rho on the deterministic sequence x: the one
+    loop that scores a predictor on a sequence.
 
     Because the data measure is concentrated on x, the expected per-step KL
     reduces to -log2 rho(x_t | x_{1..t-1}) and the cumulative loss equals
     -log2 rho(x_{1..n}) by the chain rule.  Steps where rho assigns x_t
-    probability zero are recorded as +inf and the run continues.  The
-    conditionals come from one incremental pass on a fresh instance of rho.
+    probability zero are recorded as +inf and the run continues.  x_{1..n} is
+    read once, before rho moves, and rho itself is scored: the caller passes
+    it with an empty past and may read its end state after the call.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    pred = rho.fresh()
-    probs = np.empty(n, dtype=np.float64)
-    for t in range(1, n + 1):
-        p0, p1 = pred.predict()
-        s = x.symbol_at(t)
-        probs[t - 1] = p1 if s else p0
-        pred.observe(s)
+    probs = []
+    for s in x.prefix_array(n).tolist():
+        p0, p1 = rho.predict()
+        probs.append(p1 if s else p0)
+        rho.observe(s)
     return trace_from_realized_probs(probs)
 
 

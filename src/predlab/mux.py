@@ -590,7 +590,8 @@ class MuxPredictor(Predictor):
     convention keeps it total for adversarial use.
 
     ``last_interval_width`` records hi - lo of the linear enclosure of the
-    most recent prediction's next-0 conditional, for diagnostic logging.
+    most recent prediction's next-0 conditional, and ``max_interval_width``
+    the largest so far (0.0 before any, 1.0 once the past is dead).
 
     Its first two steps, O(J) and up to O(J/2), are the same on every past,
     so it reads them from the MuX, which builds them once (``MuX._shared``).
@@ -601,7 +602,7 @@ class MuxPredictor(Predictor):
         self._state = mux._shared(())
         self._shared_past: tuple | None = ()  # the past while the MuX shares its state
         self._cache: Transition | None = None
-        self.last_interval_width = 0.0
+        self.last_interval_width = self.max_interval_width = 0.0
 
     def fresh(self) -> "MuxPredictor":
         return MuxPredictor(self.mux)
@@ -621,11 +622,13 @@ class MuxPredictor(Predictor):
 
     def predict(self) -> tuple[float, float]:
         if self._state.total <= 0.0:
-            self.last_interval_width = 1.0
+            self.last_interval_width = self.max_interval_width = 1.0
             return (0.5, 0.5)
         step = self._propagated()
         lo, hi = self.mux._conditional_ends(self._state, step, 0)
-        self.last_interval_width = hi - lo
+        self.last_interval_width = width = hi - lo
+        if width > self.max_interval_width:
+            self.max_interval_width = width
         # a live past's alive weights are >= 2^-960 after the floors, and p_j
         # and 1 - p_j are >= 2^-62: every weight after the step, so s0 + s1, is > 0
         p1 = step.s1 / (step.s0 + step.s1)

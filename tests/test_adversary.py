@@ -15,6 +15,7 @@ from predlab import (
     log_loss_bound,
     theorem1_experiment,
 )
+from predlab.loss import trace_from_realized_probs
 
 from conftest import MomentumPredictor, predictor_battery
 
@@ -92,8 +93,28 @@ def test_theorem1_invariants_for_kt():
     cum = run.mux_trace.cum_kl_bits
     for t in range(1, len(run.sequence) + 1):
         assert float(cum[t - 1]) <= log_loss_bound(t) + 1e-6
-    assert (run.mux_widths >= 0.0).all()
-    assert (run.mux_widths <= 1.0).all()
+    assert 0.0 <= run.max_mux_width <= 1.0
+
+
+@pytest.mark.parametrize("name", ["uniform", "kt", "mix:3", "mux:periodic:01"])
+def test_theorem1_scores_the_tracking_measure_as_a_hand_loop(name):
+    # the reference: a predict/observe loop on a fresh tracking-measure
+    # predictor of the sequence built against the same target
+    rho = predictor_battery(trunc=2000)[name]
+    run = theorem1_experiment(rho, 200, trunc=2000, predictor_spec=name)
+    source = AdversarialSource(rho)
+    pred = MuX(source, ChainSpec(2000)).predictor()
+    probs, widths = [], []
+    for s in source.prefix_array(200).tolist():
+        p0, p1 = pred.predict()
+        widths.append(pred.last_interval_width)
+        probs.append(p1 if s else p0)
+        pred.observe(s)
+    ref = trace_from_realized_probs(probs)
+    for column in ("kl_bits", "abs_loss", "sq_loss"):
+        got = getattr(run.mux_trace, column).tolist()
+        assert list(map(repr, got)) == list(map(repr, getattr(ref, column).tolist())), column
+    assert repr(run.max_mux_width) == repr(max(widths))
 
 
 def test_theorem1_tracking_target_stays_scoreable():

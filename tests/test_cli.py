@@ -347,3 +347,10 @@ def test_file_source_roundtrip_through_cli(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert 2.0 ** payload["upper_log2"] <= 1.0
+    # a file shorter than the horizon is refused before any scoring, and
+    # the run leaves no file
+    out_dir = tmp_path / "loss"
+    assert main(["loss", "--rho", "kt", "--target", f"file:{path}", "-n", "12",
+                 "--out", str(out_dir)]) == 2
+    assert "holds 10 symbols, prefix 12 requested" in capsys.readouterr().err
+    assert not out_dir.exists()

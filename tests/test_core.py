@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -263,6 +264,19 @@ def test_prefix_array_belongs_to_the_caller(kind, tmp_path):
     assert np.array_equal(src.prefix_array(10), ref)
     assert [src.symbol_at(t) for t in range(1, 11)] == ref.tolist()
     assert np.array_equal(src.prefix_array(4), ref[:4])
+
+
+def test_periodic_prefix_array_forms_its_table_once():
+    # the tiled table is returned as is, not copied: the peak is about
+    # n + P bytes, not twice n
+    n, src = 10**6, PeriodicSource("01")
+    tracemalloc.start()
+    try:
+        src.prefix_array(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n + 2**12
 
 
 def test_coin_flip_regression_anchor():

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from predlab import (
     ChainSpec,
     DiracPredictor,
+    FileSource,
     FiniteOrderMixture,
     KTPredictor,
     LossTrace,
     MuX,
     PeriodicSource,
+    SourceExhaustedError,
     UniformPredictor,
     dirac_kl,
     stationarity_window_check,
@@ -81,18 +83,24 @@ def test_chain_rule_against_mixture_joint():
     for t in range(1, n + 1):
         replay.observe(src.symbol_at(t))
     assert float(trace.cum_kl_bits[-1]) == pytest.approx(-replay.log2_joint(), abs=1e-9)
+    # dirac_kl scored mix itself, which now holds the joint of x_{1..n}
+    assert float(trace.cum_kl_bits[-1]) == pytest.approx(-mix.log2_joint(), abs=1e-9)
 
 
 def test_chain_rule_against_forward_mass():
     src = PeriodicSource("01")
     mux = MuX(src, ChainSpec(2000))
     n = 400
-    trace = dirac_kl(src, mux.predictor(), n)
+    scored = mux.predictor()
+    trace = dirac_kl(src, scored, n)
     pred = mux.predictor()
     for t in range(1, n + 1):
         pred.observe(src.symbol_at(t))
     joint = pred.log2_mass() - pred.log2_initial_mass()
     assert float(trace.cum_kl_bits[-1]) == pytest.approx(-joint, abs=1e-9)
+    # the scored instance ends at the same forward mass
+    assert float(trace.cum_kl_bits[-1]) == pytest.approx(
+        scored.log2_initial_mass() - scored.log2_mass(), abs=1e-9)
 
 
 def test_other_losses_uniform():
@@ -135,6 +143,17 @@ def test_pinsker_corollary_on_traces():
 def test_dirac_kl_refuses_an_empty_horizon():
     with pytest.raises(ValueError, match="horizon"):
         dirac_kl(PeriodicSource("01"), KTPredictor(), 0)
+
+
+def test_dirac_kl_reads_a_short_source_before_scoring(tmp_path):
+    # the prefix is read first: a finite source shorter than n is refused
+    # whole, and the predictor has not moved
+    path = tmp_path / "bits.txt"
+    path.write_text("01101\n", encoding="ascii")
+    rho = KTPredictor()
+    with pytest.raises(SourceExhaustedError, match="holds 5 symbols, prefix 8 requested"):
+        dirac_kl(FileSource(path), rho, 8)
+    assert rho.counts == [0, 0]
 
 
 def test_trace_scores_subnormal_probabilities_exactly():

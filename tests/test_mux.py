@@ -178,9 +178,11 @@ def test_conditional_off_support_is_vacuous_and_predictor_uniform():
     assert i0.lower_prob == 0.0 and i0.upper_prob == 1.0
     assert i1.lower_prob == 0.0 and i1.upper_prob == 1.0
     pred = mux.predictor()
+    assert pred.max_interval_width == 0.0  # before any prediction
     pred.observe(1)  # kills the tracked mass
     assert pred.log2_mass() == -math.inf
     assert pred.predict() == (0.5, 0.5)
+    assert pred.max_interval_width == 1.0
     pred.observe(0)  # stays total after death
     assert pred.predict() == (0.5, 0.5)
 
@@ -1546,14 +1548,18 @@ def test_logged_width_is_the_enclosure_width_on_theorem1_sequences(rho):
     # predict is hi - lo of the linear ends, and within the width of the
     # LogInterval that conditional_next rounds out of them; the public query,
     # which walks a fresh predictor, is checked at the first steps and then
-    # every 25th (it costs O(t) each)
+    # every 25th (it costs O(t) each); the predictor's largest width is the
+    # running maximum of the logged ones
     src = AdversarialSource(parse_predictor_spec(rho, 10_000))
     y = src.prefix_array(500).tolist()
     mux = MuX(src, ChainSpec(10_000))
     pred = mux.predictor()
+    widest = 0.0
     for t, s in enumerate(y):
         pred.predict()
         width = pred.last_interval_width
+        widest = max(widest, width)
+        assert repr(pred.max_interval_width) == repr(widest)
         if pred._state.total > 0.0:
             lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
             assert repr(width) == repr(hi - lo)
