@@ -64,8 +64,8 @@ class LogInterval:
 
     ``width`` is ``width_prob`` when that is given: a marginal below 1
     carries there the certified mass excluded by truncation, so refining the
-    truncation tightens it.  Otherwise (a conditional, say) the width is
-    upper - lower in probability space, the rounding term included.
+    truncation tightens it.  Otherwise the width is upper - lower in
+    probability space, the rounding term included.
     """
 
     lower_log2: float

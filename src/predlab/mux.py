@@ -36,7 +36,7 @@ is within a factor 1 +- gamma_k = k u / (1 - k u) of exact:
 
 with a tracked power-of-two rescale against underflow.  Conditional ends are
 formed in linear space, within the spare roundings of gamma_k; log2 ends,
-rounded outward, are formed only where an interval is reported.  Dropped
+rounded outward, are formed only where ``marginal`` reports one.  Dropped
 trajectories are never re-examined, so the width never shrinks below
 dropped_mass; for long pasts it can exceed the marginal itself, and the
 *point* predictor therefore does not midpoint the enclosures.  It serves the
@@ -294,7 +294,8 @@ class MuX:
     def _ensure_tables(self, size: int) -> None:
         """The emission table for states 1..size <= _MAX_STATE; the source must serve
         indices up to size or this raises its exhaustion error.  Growing it drops
-        the change rows, rebuilt on their next use.  It grows by an eighth (up to
+        the change rows and the shared Transitions, whose origin_ones may view the
+        old table; both are rebuilt on their next use.  It grows by an eighth (up to
         _MAX_STATE), so those O(capacity) rebuilds cost O(1) per state amortised,
         and the source serves at most about an eighth more symbols than the frontier reads."""
         if size <= self._cap:
@@ -309,7 +310,7 @@ class MuX:
             new_cap = size  # finite source: take exactly what the query needs
             emis = self.source.prefix_array(new_cap)
         self._ones = emis.view(bool)
-        self._classes = {}
+        self._classes, self._first = {}, {k: v for k, v in self._first.items() if not k[1]}
         self._cap = new_cap
 
     def _change_rows(self, s: int) -> list[np.ndarray]:
@@ -345,7 +346,8 @@ class MuX:
     def _shared(self, y: tuple, step: bool = False):
         """The state after y, a word of at most one symbol, or with ``step``
         its Transition.  Every past on this MuX shares them, so each is built
-        on first use and kept, with its arrays made read-only."""
+        on first use and kept (a Transition until the tables grow), with its
+        arrays made read-only."""
         if (y, step) not in self._first:
             new = (self.propagate(self._shared(y)) if step
                    else self.advance(self._shared(()), y[0], self._shared((), True)) if y
@@ -508,27 +510,14 @@ class MuX:
 
     # -- queries --------------------------------------------------------------
 
-    def _walk(self, y: Word) -> "MuxPredictor":
-        pred = MuxPredictor(self)
-        for s in y:
-            pred.observe(s)
-        return pred
-
     def marginal(self, y: Word) -> LogInterval:
         """Certified enclosure of mu_x(y); ``width`` is the dropped mass."""
         if len(y) == 0:
             raise ValueError("marginal of the empty word is 1; query length >= 1")
-        return self._walk(y)._state.interval()
-
-    def conditional_next(self, past: Word) -> tuple[LogInterval, LogInterval]:
-        """Enclosures of mu_x(next=0 | past) and mu_x(next=1 | past): the ends of
-        ``_conditional_ends`` rounded outward into log2.  A dead past (``total
-        <= 0``: zero tracked mass) gets the vacuous enclosures [0, 1]."""
-        pred = self._walk(past)
-        state, step = pred._state, pred._propagated()
-        ends = [self._conditional_ends(state, step, a) for a in (0, 1)]
-        ends = [(_log2_out(lo, False), min(0.0, _log2_out(hi, True))) for lo, hi in ends]
-        return tuple(LogInterval(min(lo, hi), hi) for lo, hi in ends)
+        pred = MuxPredictor(self)
+        for s in y:
+            pred.observe(s)
+        return pred._state.interval()
 
     def _conditional_ends(self, state: ForwardState, step: Transition,
                           symbol: Symbol) -> tuple[float, float]:

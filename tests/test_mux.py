@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -9,14 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predlab import (
-    IMPOSSIBLE,
     PI1,
     AdversarialSource,
     ChainSpec,
     ChampernowneSource,
     CoinFlipSource,
     FileSource,
-    LogInterval,
     MuX,
     PeriodicSource,
     SequenceSource,
@@ -37,6 +37,29 @@ from conftest import corpus_sources, pin_start
 
 def mux01(trunc=10_000):
     return MuX(PeriodicSource("01"), ChainSpec(trunc))
+
+
+def _observed(mux, y):
+    """A predictor of ``mux`` that has observed the word y."""
+    pred = mux.predictor()
+    for s in y:
+        pred.observe(s)
+    return pred
+
+
+def _ends(mux, past):
+    """Both symbols' linear conditional ends after ``past``, the ones ``predict`` forms."""
+    pred = _observed(mux, past)
+    return tuple(mux._conditional_ends(pred._state, pred._propagated(), a) for a in (0, 1))
+
+
+def _target(spec):
+    """The source ``spec`` names, or for ``adversary:<rho>`` theorem1's
+    sequence against rho (the tracking measure's at J = 1e4)."""
+    kind, _, rho = spec.partition(":")
+    if kind == "adversary":
+        return AdversarialSource(parse_predictor_spec(rho, 10_000))
+    return parse_source_spec(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +184,20 @@ def test_fine_enclosure_covers_coarse_brute_force():
 # ---------------------------------------------------------------------------
 
 
-def test_conditional_next_empty_past():
-    i0, i1 = mux01().conditional_next(())
-    assert i0.contains(0.75)
-    assert i1.contains(0.25)
+def test_conditional_ends_empty_past():
+    (lo0, hi0), (lo1, hi1) = _ends(mux01(), ())
+    assert lo0 <= 0.75 <= hi0
+    assert lo1 <= 0.25 <= hi1
 
 
-def test_conditional_next_all_zeros():
-    i0, _ = MuX(PeriodicSource("0"), ChainSpec(5000)).conditional_next((0, 0, 0))
-    assert i0.contains(1.0)
+def test_conditional_ends_all_zeros():
+    (lo0, hi0), _ = _ends(MuX(PeriodicSource("0"), ChainSpec(5000)), (0, 0, 0))
+    assert lo0 <= 1.0 <= hi0
 
 
 def test_conditional_off_support_is_vacuous_and_predictor_uniform():
     mux = MuX(PeriodicSource("0"), ChainSpec(1000))
-    i0, i1 = mux.conditional_next((1,))
-    assert i0.lower_prob == 0.0 and i0.upper_prob == 1.0
-    assert i1.lower_prob == 0.0 and i1.upper_prob == 1.0
+    assert _ends(mux, (1,)) == ((0.0, 1.0), (0.0, 1.0))
     pred = mux.predictor()
     assert pred.max_interval_width == 0.0  # before any prediction
     pred.observe(1)  # kills the tracked mass
@@ -193,13 +214,13 @@ def test_long_off_support_past_after_two_rescales():
     # the conditional enclosures are read as vacuous
     mux = MuX(PeriodicSource("01"), ChainSpec(100))
     y = (0,) * 4325
-    pred = mux._walk(y)
+    pred = _observed(mux, y)
     state = pred._state
     assert state.scale_log2 == -1796.0 and state.total > 0.0
     with pytest.raises(OverflowError):
         math.ldexp(state.dropped_mass, -int(state.scale_log2))
-    for iv in mux.conditional_next(y):
-        assert (iv.lower_prob, iv.upper_prob) == (0.0, 1.0)
+    for a in (0, 1):
+        assert mux._conditional_ends(state, pred._propagated(), a) == (0.0, 1.0)
     assert pred.predict() == (0.75, 0.25)
     assert pred.last_interval_width == 1.0
     assert mux.marginal(y).upper_prob == pytest.approx(PI1 / 100, rel=1e-9)
@@ -259,13 +280,12 @@ def test_predict_forms_the_width_without_log2_or_exp2(monkeypatch):
 
 def test_a_subnormal_lower_end_reads_zero():
     # a subnormal quotient has no relative rounding bound: it is no certified
-    # lower end, and conditional_next's log2 end reads it as IMPOSSIBLE
+    # lower end
     mux = mux01(1000)
     state, step = mux.initial_state(), mux.propagate(mux.initial_state())
     for s0, subnormal in ((1e-300, False), (1e-310, True)):
         lo, hi = mux._conditional_ends(state, step._replace(s0=s0), 0)
         assert (lo == 0.0) == subnormal and 0.0 < hi < 1.0
-        assert (_log_enclosure((lo, hi)).lower_log2 == IMPOSSIBLE) == subnormal
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +323,7 @@ QUERY_LENGTHS = (1, 2, 3, 30)
 
 
 def _queries(mux, y):
-    return [repr((mux.marginal(y[:k]), mux.conditional_next(y[:k - 1])))
-            for k in QUERY_LENGTHS]
-
-
-def _log_enclosure(ends):
-    """The LogInterval that conditional_next reports for _conditional_ends' ends."""
-    hi = min(0.0, mux_module._log2_out(ends[1], True))
-    return LogInterval(min(mux_module._log2_out(ends[0], False), hi), hi)
+    return [repr((mux.marginal(y[:k]), _ends(mux, y[:k - 1]))) for k in QUERY_LENGTHS]
 
 
 def _unshared_queries(mux, y):
@@ -318,7 +331,7 @@ def _unshared_queries(mux, y):
     for s in y:
         states.append(mux.advance(states[-1], s, mux.propagate(states[-1])))
     return [repr((states[k].interval(), tuple(
-        _log_enclosure(mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a))
+        mux._conditional_ends(states[k - 1], mux.propagate(states[k - 1]), a)
         for a in (0, 1)))) for k in QUERY_LENGTHS]
 
 
@@ -354,7 +367,7 @@ def test_first_step_is_propagated_once_per_mux(monkeypatch):
             pred.predict()
             pred.observe(s)
     mux.marginal((0, 1))
-    mux.conditional_next((1,))
+    _ends(mux, (1,))
     assert calls.count(0) == 1
     # the shared arrays are read-only, so no later step can change them
     arrays = [a for v in mux._first.values() for a in v if isinstance(a, np.ndarray)]
@@ -386,7 +399,7 @@ def test_exhausted_first_steps_leave_nothing_shared():
             pred.predict()
         assert ((s,), True) not in mux._first
     with pytest.raises(SourceExhaustedError, match="only 100"):
-        mux.conditional_next((s,))
+        _ends(mux, (s,))
 
 
 FORWARD_STATE_FIELDS = ("t", "born_states", "born_weights", "dropped_mass", "total",
@@ -614,17 +627,19 @@ def assert_encloses(iv, lower, upper):
 
 
 @pytest.mark.parametrize("trunc", [64, 500])
-@pytest.mark.parametrize("spec", ["periodic:01", "coin:5", "champernowne",
-                                  "periodic:0", "periodic:011"])
+@pytest.mark.parametrize("spec", ["periodic:01", "coin:5", "champernowne", "periodic:0",
+                                  "periodic:011", "adversary:mix:3", "adversary:mux:periodic:01"])
 def test_enclosures_contain_high_precision_recursion(spec, trunc):
     rng = np.random.default_rng(trunc)
-    src = parse_source_spec(spec)
+    src = _target(spec)
     mux = MuX(src, ChainSpec(trunc))
     # a path of the measure itself, a uniform word (its mass may die) and
-    # the target's own prefix
-    words = [tuple(int(b) for b in mux.sample_trajectory(200, seed=trunc)),
-             tuple(int(b) for b in rng.integers(0, 2, size=200)),
-             tuple(int(b) for b in src.prefix_array(200))]
+    # the target's own prefix; an adversarial target gets its prefix only,
+    # since a sampled path could extend the adversary out to a far state
+    words = [tuple(int(b) for b in src.prefix_array(200))]
+    if not spec.startswith("adversary:"):
+        words[:0] = [tuple(int(b) for b in mux.sample_trajectory(200, seed=trunc)),
+                     tuple(int(b) for b in rng.integers(0, 2, size=200))]
     if spec == "periodic:01":
         words.append((0,) * 2500)  # mass about (3/4)^t: crosses the rescale
     with mpmath.workdps(50):
@@ -641,12 +656,8 @@ def test_enclosures_contain_high_precision_recursion(spec, trunc):
             s0, s1 = sums[m]
             if s0 + s1 == 0:
                 continue
-            pred = mux._walk(y[:m])
-            for a, (iv, s_a) in enumerate(zip(mux.conditional_next(y[:m]), (s0, s1))):
-                ratio = s_a / (s0 + s1)
-                assert_encloses(iv, ratio, ratio)
-                lo, hi = mux._conditional_ends(pred._state, pred._propagated(), a)
-                assert lo <= ratio <= hi  # the linear ends, with no slack
+            for (lo, hi), s_a in zip(_ends(mux, y[:m]), (s0, s1)):
+                assert lo <= s_a / (s0 + s1) <= hi  # the linear ends, with no slack
     if spec == "periodic:01":
         pred = mux.predictor()
         for s in (0,) * 2500:
@@ -654,17 +665,22 @@ def test_enclosures_contain_high_precision_recursion(spec, trunc):
         assert pred._state.scale_log2 < 0.0
 
 
-@pytest.mark.parametrize("spec, trunc", [("coin:7", 64), ("champernowne", 64),
-                                         ("coin:7", 500), ("periodic:011", 500)])
+@pytest.mark.parametrize("spec, trunc", [
+    ("coin:7", 64), ("champernowne", 64), ("coin:7", 500), ("periodic:011", 500),
+    ("adversary:mix:3", 64), ("adversary:mix:3", 500),
+    ("adversary:mux:periodic:01", 64), ("adversary:mux:periodic:01", 500)])
 def test_conditional_ends_without_the_dropped_mass_contain_the_truncated_conditional(
         spec, trunc):
     # with dropped_mass = 0 the ends are s_a (1 -+ r) / (den (1 +- r)): only
     # the rounding term r separates them from the truncated measure's
     # conditional s_a / (s0 + s1), which the 50-digit recursion gives, so a
-    # wrong sign of r shows here where the truncation term d would hide it
-    src = parse_source_spec(spec)
+    # wrong sign of r shows here where the truncation term d would hide it;
+    # an adversarial target gets its own prefix only
+    src = _target(spec)
     mux = MuX(src, ChainSpec(trunc))
-    words = [mux.sample_trajectory(120, seed=trunc).tolist(), src.prefix_array(120).tolist()]
+    words = [src.prefix_array(120).tolist()]
+    if not spec.startswith("adversary:"):
+        words.insert(0, mux.sample_trajectory(120, seed=trunc).tolist())
     checked = 0
     for y in words:
         pred = mux.predictor()
@@ -762,17 +778,11 @@ def test_enclosures_contain_the_zeta_oracle_at_a_million_states(pattern):
     for y in (src.prefix_array(steps).tolist(), src.prefix_array(steps + 1).tolist()[1:]):
         mux = MuX(src, ChainSpec(trunc))
         pred = mux.predictor()
-        for t, ((s0, s1), sym) in enumerate(zip(zeta_forward_sums(pattern, trunc, y), y)):
+        for (s0, s1), sym in zip(zeta_forward_sums(pattern, trunc, y), y):
             state, step = pred._state, pred._propagated()
-            # the linear ends, with no slack, at every step; the public
-            # query, which walks a fresh predictor, at the first and every 20th
-            queries = mux.conditional_next(y[:t]) if t < 3 or t % 20 == 0 else None
-            for a, s_a in enumerate((s0, s1)):
-                ratio = s_a / (s0 + s1)
+            for a, s_a in enumerate((s0, s1)):  # the linear ends, with no slack
                 lo, hi = mux._conditional_ends(state, step, a)
-                assert lo <= ratio <= hi
-                if queries:
-                    assert_encloses(queries[a], ratio, ratio)
+                assert lo <= s_a / (s0 + s1) <= hi
             pred.observe(sym)
             tracked = (s0, s1)[sym]
             assert_encloses(pred._state.interval(), tracked, tracked + tail)
@@ -1522,6 +1532,31 @@ def test_table_capacity_grows_by_an_eighth():
     assert all(n <= max(J + 64, 9 / 8 * (J + t) + 1) for t, n in asked)
 
 
+def test_table_growth_frees_the_replaced_table():
+    # the shared t = 0 Transition's origin_ones is a view of the emission
+    # table; growing the table drops the shared Transitions, so that view no
+    # longer keeps the replaced table alive, and a predictor made after the
+    # growth rebuilds the same steps
+    src = PeriodicSource("01")
+    y = src.prefix_array(100).tolist()
+    mux = MuX(src, ChainSpec(10_000))
+    pred, out, grown = mux.predictor(), [], False
+    table = mux._ones
+    while isinstance(table.base, np.ndarray):
+        table = table.base
+    old, cap = weakref.ref(table), mux._cap
+    del table
+    for s in y:
+        out.append(repr((pred.predict(), pred.last_interval_width, pred.log2_mass())))
+        pred.observe(s)
+        if not grown and mux._cap > cap:
+            grown = True
+            gc.collect()
+            assert old() is None
+    assert grown
+    assert _predictor_run(mux, y) == out + [repr(pred.log2_mass())]
+
+
 LOGGED_WIDTH_TARGETS = [(src.spec, None) for src in corpus_sources()] + [("periodic:0", 1)]
 
 
@@ -1533,39 +1568,36 @@ def test_logged_width_is_the_next_zero_enclosure_width(spec, first):
         y[0] = first
     mux = MuX(parse_source_spec(spec), ChainSpec(10_000))
     pred = mux.predictor()
-    for t, s in enumerate(y):
+    for s in y:
         pred.predict()
+        lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
         if pred._state.total > 0.0:
-            lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
             assert repr(pred.last_interval_width) == repr(hi - lo)
-        assert pred.last_interval_width <= mux.conditional_next(y[:t])[0].width
+        else:  # a dead past: the uniform conditional, within vacuous ends
+            assert pred.last_interval_width == hi - lo == 1.0
         pred.observe(s)
 
 
 @pytest.mark.parametrize("rho", ["uniform", "kt", "mix:3", "mux:periodic:01"])
 def test_logged_width_is_the_enclosure_width_on_theorem1_sequences(rho):
     # the battery's sequences at its size: the width logged after every
-    # predict is hi - lo of the linear ends, and within the width of the
-    # LogInterval that conditional_next rounds out of them; the public query,
-    # which walks a fresh predictor, is checked at the first steps and then
-    # every 25th (it costs O(t) each); the predictor's largest width is the
-    # running maximum of the logged ones
+    # predict is hi - lo of the linear ends, and the predictor's largest
+    # width is the running maximum of the logged ones
     src = AdversarialSource(parse_predictor_spec(rho, 10_000))
     y = src.prefix_array(500).tolist()
     mux = MuX(src, ChainSpec(10_000))
     pred = mux.predictor()
     widest = 0.0
-    for t, s in enumerate(y):
+    for s in y:
         pred.predict()
         width = pred.last_interval_width
         widest = max(widest, width)
         assert repr(pred.max_interval_width) == repr(widest)
+        lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
         if pred._state.total > 0.0:
-            lo, hi = mux._conditional_ends(pred._state, pred._propagated(), 0)
             assert repr(width) == repr(hi - lo)
-            assert width <= _log_enclosure((lo, hi)).width
-        if t < 20 or t % 25 == 0:
-            assert width <= mux.conditional_next(y[:t])[0].width
+        else:  # a dead past: the uniform conditional, within vacuous ends
+            assert width == hi - lo == 1.0
         pred.observe(s)
 
 
